@@ -10,7 +10,10 @@
 //!
 //! `--trace 0` runs untraced passes (telemetry on, no spans) until `S`
 //! seconds have been measured, at least three, and reports the
-//! end-to-end metrics as medians over them. `--trace 1` runs six passes,
+//! end-to-end metrics: set-up time and peak memory as medians over the
+//! passes, throughput and latency from the timing series of all passes
+//! pooled (the p10 step rate, p90 step and read times, median scrape
+//! time). `--trace 1` runs six passes,
 //! plain, traced (transport spans, then layer probes) and detached (no
 //! telemetry), each twice, and reports the per-layer metrics.
 //!
@@ -166,17 +169,26 @@ const MIN_FLEETS: usize = 3;
 /// 180 s).
 const ADD_FLEETS_FOR: Duration = Duration::from_secs(100);
 
-/// The figures every fleet reports, in end-to-end metric order.
-const FLEET_FIGURES: [&str; 8] = [
+/// The figures every fleet reports.
+const FLEET_FIGURES: [&str; 5] = [
     "setup_s",
+    "peak_rss_mib",
     "rounds_per_s",
     "step_ms_p50",
-    "step_ms_p90",
     "read_us_p50",
-    "read_us_p90",
-    "scrape_ms_p50",
-    "peak_rss_mib",
 ];
+
+/// Figures reported beside the metrics but not gated, each the median
+/// over a run's fleets. They follow the host's speed from run to run:
+/// it switches between regimes about 1.5x apart for seconds to minutes
+/// at a time, and a median or mean follows the mix of regimes in a run.
+const UNGATED: [&str; 3] = ["rounds_per_s", "step_ms_p50", "read_us_p50"];
+
+/// The timing series every fleet prints. A run pools them over its
+/// fleets and gates throughput and latency at their slow tail (the step
+/// rate 90 % of steps reach, p90 step and read times), which stays with
+/// the slower regime as long as a tenth of the run saw it.
+const SERIES: [&str; 4] = ["step_ms", "step_rate", "read_us", "scrape_ms"];
 
 /// Each fleet runs in a process of its own, so memory layout and
 /// allocator state are fresh for every fleet and average out over a run.
@@ -191,36 +203,72 @@ fn untraced(args: &Args) -> ! {
         measured += num(&kv, "measured_s");
         fleets.push(("plain", kv));
     }
-    let (ops, errors) = check_passes(&fleets);
+    let (ops, mut errors) = check_passes(&fleets);
     if !errors.is_empty() {
         finish(args, ops, &errors, &[], &[], "{}".into(), "{}".into());
     }
-    // Each figure is the median over the run's fleets.
-    let v: BTreeMap<&'static str, f64> = FLEET_FIGURES
+    let median = |k: &str| {
+        let mut s = stats::Samples::default();
+        for (_, kv) in &fleets {
+            s.push(num(kv, k));
+        }
+        s.median().expect("fleets")
+    };
+    let pooled: BTreeMap<&str, stats::Samples> = SERIES
         .iter()
         .map(|&k| {
             let mut s = stats::Samples::default();
             for (_, kv) in &fleets {
-                s.push(num(kv, k));
+                for x in kv[k].split_whitespace() {
+                    s.push(x.parse().expect("sample"));
+                }
             }
-            (k, s.median().expect("fleets"))
+            (k, s)
         })
         .collect();
+    let mut v: BTreeMap<&'static str, f64> = BTreeMap::new();
+    v.insert("setup_s", median("setup_s"));
+    v.insert("peak_rss_mib", median("peak_rss_mib"));
+    for (name, series, q) in [
+        ("rounds_per_s_p10", "step_rate", 0.1),
+        ("step_ms_p90", "step_ms", 0.9),
+        ("read_us_p90", "read_us", 0.9),
+        ("scrape_ms_p50", "scrape_ms", 0.5),
+    ] {
+        match pooled[series].pct(q) {
+            Ok(x) => {
+                v.insert(name, x);
+            }
+            Err(e) => errors.push(format!("{name}: {e}")),
+        }
+    }
+    if !errors.is_empty() {
+        finish(args, ops, &errors, &[], &[], "{}".into(), "{}".into());
+    }
     let metrics = metrics::render(metrics::END_TO_END.iter().map(|m| (m.name, m.unit)), &v);
-    let total = |k: &str| fleets.iter().map(|(_, kv)| num(kv, k)).sum::<f64>() as usize;
+    let ungated: Vec<String> = UNGATED
+        .iter()
+        .map(|&k| format!("\"{k}\": {}", median(k)))
+        .collect();
+    let legend = format!(
+        "{}, \"ungated\": {{{}}}",
+        metrics::legend_end_to_end(),
+        ungated.join(", ")
+    );
     finish(
         args,
         ops,
         &errors,
         &[
             ("fleets", fleets.len()),
-            ("steps", total("steps")),
-            ("reads", total("reads")),
-            ("scrapes", total("scrapes")),
+            ("steps", pooled["step_ms"].len()),
+            ("rate_steps", pooled["step_rate"].len()),
+            ("reads", pooled["read_us"].len()),
+            ("scrapes", pooled["scrape_ms"].len()),
         ],
         &[("fleet", fleets[0].1["digest"].clone())],
         metrics,
-        metrics::legend_end_to_end(),
+        legend,
     );
 }
 
@@ -234,20 +282,22 @@ fn child(args: &Args, mode: Mode) {
     let st = &r.stats;
     let figures = [
         st.setup_s,
+        st.peak_rss_mib,
         st.rounds_per_s,
         st.step_ms_p50,
-        st.step_ms_p90,
         st.read_us_p50,
-        st.read_us_p90,
-        st.scrape_ms_p50,
-        st.peak_rss_mib,
     ];
     for (k, x) in FLEET_FIGURES.iter().zip(figures) {
         println!("@ {k} {x}");
     }
+    for (k, series) in SERIES
+        .iter()
+        .zip([&r.step_ms, &r.step_rate, &r.read_us, &r.scrape_ms])
+    {
+        let values: Vec<String> = series.values().iter().map(f64::to_string).collect();
+        println!("@ {k} {}", values.join(" "));
+    }
     println!("@ steps {}", r.steps);
-    println!("@ reads {}", r.reads);
-    println!("@ scrapes {}", r.scrapes);
     println!("@ measured_s {}", r.measured_s);
     println!("@ step_wall_s {}", r.step_wall_s);
     println!("@ digest {}", hex(&r.digest));

@@ -9,17 +9,16 @@ use crate::stats::{self, Ops, Samples};
 use crate::tap::TapTrace;
 use crate::workload::{self, read, Fleet, Mode, Step, Workload};
 
-/// The end-to-end figures of one fleet, in the units of the metrics
-/// they feed. A run reports, for each, the median over its fleets.
+/// The figures of one fleet, in the units of the metrics they feed. A
+/// run reports, for each, the median over its fleets; its gated tails
+/// come from the fleets' pooled series instead (see `main::untraced`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FleetStats {
     pub setup_s: f64,
+    /// Rounds passed over the whole steady wall.
     pub rounds_per_s: f64,
     pub step_ms_p50: f64,
-    pub step_ms_p90: f64,
     pub read_us_p50: f64,
-    pub read_us_p90: f64,
-    pub scrape_ms_p50: f64,
     /// Peak resident set of the process that built and ran the fleet.
     pub peak_rss_mib: f64,
 }
@@ -31,9 +30,13 @@ pub struct FleetResult {
     pub join_us: Samples,
     pub step_self_ms: Samples,
     pub report_bytes: Samples,
+    /// The fleet's timing series; a run pools them over its fleets.
+    pub step_ms: Samples,
+    /// Rounds passed per second of each step that passed any.
+    pub step_rate: Samples,
+    pub read_us: Samples,
+    pub scrape_ms: Samples,
     pub steps: u64,
-    pub reads: u64,
-    pub scrapes: u64,
     pub step_wall_s: f64,
     /// Wall seconds of the measured loop (steps, reads and scrapes).
     pub measured_s: f64,
@@ -189,14 +192,22 @@ where
     let mut outstanding_max = 0u64;
     let (mut step_ms, mut read_us, mut scrape_ms) =
         (Samples::default(), Samples::default(), Samples::default());
+    // On fleet-steady about one step in five falls between enrollment
+    // groups' rounds and passes none; it has no rate.
+    let mut step_rate = Samples::default();
     let mut cursor = f.names.len() / 3;
     let measuring = Instant::now();
     for k in 1..=s.steps {
         let t0 = traced.then(|| f.svc.transport().clock());
+        let passed = f.svc.log().counters().rounds_passed;
         let t = Instant::now();
         f.step();
         let dt = t.elapsed();
         step_ms.push(dt.as_secs_f64() * 1e3);
+        let passed = f.svc.log().counters().rounds_passed - passed;
+        if passed > 0 {
+            step_rate.push(passed as f64 / dt.as_secs_f64());
+        }
         out.step_wall_s += dt.as_secs_f64();
         if let Some(t0) = t0 {
             let spans = f.svc.transport().take_spans();
@@ -232,15 +243,8 @@ where
         Ok(FleetStats {
             setup_s: f.setup_s,
             rounds_per_s: window.rounds_passed as f64 / out.step_wall_s,
-            step_ms_p50: step_ms.pct(0.5)?,
-            step_ms_p90: step_ms.pct(0.9)?,
-            read_us_p50: read_us.pct(0.5)?,
-            read_us_p90: read_us.pct(0.9)?,
-            scrape_ms_p50: if f.reg.is_some() {
-                scrape_ms.pct(0.5)?
-            } else {
-                0.0
-            },
+            step_ms_p50: step_ms.median()?,
+            read_us_p50: read_us.median()?,
             peak_rss_mib: 0.0,
         })
     })();
@@ -249,8 +253,8 @@ where
         Err(e) => out.errors.push(e),
     }
     out.steps = s.steps;
-    out.reads = read_us.len() as u64;
-    out.scrapes = scrape_ms.len() as u64;
+    (out.step_ms, out.step_rate, out.read_us, out.scrape_ms) =
+        (step_ms, step_rate, read_us, scrape_ms);
     out.digest = f.digest();
     eprintln!(
         "perfbench: {} fleet: set-up {:.3} s, {} steps in {:.3} s, {:.0} rounds/s",

@@ -41,16 +41,14 @@ const fn l(
 
 pub const END_TO_END: &[EndToEnd] = &[
     e("setup_s", "s", "lower"),
-    e("rounds_per_s", "1/s", "higher"),
-    e("step_ms_p50", "ms", "lower"),
+    e("rounds_per_s_p10", "1/s", "higher"),
     e("step_ms_p90", "ms", "lower"),
-    e("read_us_p50", "us", "lower"),
     e("read_us_p90", "us", "lower"),
     e("scrape_ms_p50", "ms", "lower"),
     e("peak_rss_mib", "MiB", "lower"),
 ];
 
-const STEADY: &str = "rounds_per_s, step_ms_* on fleet-steady";
+const STEADY: &str = "rounds_per_s_p10, step_ms_p90 on fleet-steady";
 const AUDIT_OPS: &str = "failed and refused rounds on fleet-audit";
 
 #[rustfmt::skip]
@@ -65,41 +63,41 @@ pub const LAYERS: &[Layer] = &[
     l("service.restarts", "count", "lower", AUDIT_OPS, "fleet-steady"),
     l("service.quarantines", "count", "lower", AUDIT_OPS, "fleet-steady"),
     l("service.failed_share", "share", "lower", AUDIT_OPS, "fleet-steady"),
-    l("net.send_ns", "ns", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("net.drain_ns", "ns", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("net.busy_share", "share", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("net.frames_per_round", "count", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("net.bytes_per_round", "B", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("net.dropped", "count", "lower", "rounds_per_s on fleet-audit", "link-uds"),
-    l("tcp.send_ns", "ns", "lower", "step_ms_*, rounds_per_s on link-uds", "fleet-steady"),
-    l("tcp.drain_ns", "ns", "lower", "step_ms_*, rounds_per_s on link-uds", "fleet-steady"),
-    l("tcp.wait_share", "share", "lower", "step_ms_*, rounds_per_s on link-uds", "fleet-steady"),
-    l("tcp.frames_shed", "count", "lower", "rounds_per_s on link-uds", "fleet-steady"),
-    l("tcp.reconnects", "count", "lower", "rounds_per_s on link-uds", "fleet-steady"),
-    l("tcp.rtt_us_p50", "us", "lower", "step_ms_p50 on link-uds", "fleet-steady"),
+    l("net.send_ns", "ns", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("net.drain_ns", "ns", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("net.busy_share", "share", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("net.frames_per_round", "count", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("net.bytes_per_round", "B", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("net.dropped", "count", "lower", "rounds_per_s_p10 on fleet-audit", "link-uds"),
+    l("tcp.send_ns", "ns", "lower", "step_ms_p90, rounds_per_s_p10 on link-uds", "fleet-steady"),
+    l("tcp.drain_ns", "ns", "lower", "step_ms_p90, rounds_per_s_p10 on link-uds", "fleet-steady"),
+    l("tcp.wait_share", "share", "lower", "step_ms_p90, rounds_per_s_p10 on link-uds", "fleet-steady"),
+    l("tcp.frames_shed", "count", "lower", "rounds_per_s_p10 on link-uds", "fleet-steady"),
+    l("tcp.reconnects", "count", "lower", "rounds_per_s_p10 on link-uds", "fleet-steady"),
+    l("tcp.rtt_us_p50", "us", "lower", "step_ms_p90 on link-uds", "fleet-steady"),
     l("tcp.rtt_us_p99", "us", "lower", "step_ms_p90 on link-uds", "fleet-steady"),
-    l("wire.encode_ns", "ns", "lower", "step_ms_p50 on link-uds, rounds_per_s on fleet-steady", "device-cycle"),
-    l("wire.decode_ns", "ns", "lower", "step_ms_p50 on link-uds, rounds_per_s on fleet-steady", "device-cycle"),
-    l("wire.frame_bytes_p50", "B", "lower", "step_ms_p50 on link-uds, rounds_per_s on fleet-steady", "device-cycle"),
+    l("wire.encode_ns", "ns", "lower", "step_ms_p90 on link-uds, rounds_per_s_p10 on fleet-steady", "device-cycle"),
+    l("wire.decode_ns", "ns", "lower", "step_ms_p90 on link-uds, rounds_per_s_p10 on fleet-steady", "device-cycle"),
+    l("wire.frame_bytes_p50", "B", "lower", "step_ms_p90 on link-uds, rounds_per_s_p10 on fleet-steady", "device-cycle"),
     l("core.sake_ms", "ms", "lower", "setup_s on device-cycle and fleet-steady", ""),
     l("core.calibrate_ms", "ms", "lower", "setup_s on device-cycle and fleet-steady", ""),
-    l("core.check_response_us", "us", "lower", "rounds_per_s on fleet-steady", "link-uds"),
-    l("gpu-sim.checksum_ms", "ms", "lower", "rounds_per_s, step_ms_* on device-cycle", "fleet-steady"),
-    l("gpu-sim.sim_cycles_per_s", "cycles/s", "higher", "rounds_per_s, step_ms_* on device-cycle", "fleet-steady"),
+    l("core.check_response_us", "us", "lower", "rounds_per_s_p10 on fleet-steady", "link-uds"),
+    l("gpu-sim.checksum_ms", "ms", "lower", "rounds_per_s_p10, step_ms_p90 on device-cycle", "fleet-steady"),
+    l("gpu-sim.sim_cycles_per_s", "cycles/s", "higher", "rounds_per_s_p10, step_ms_p90 on device-cycle", "fleet-steady"),
     l("gpu-sim.stall_share", "share", "lower", "none: a modelled statistic a pure simulator speed-up leaves identical", "fleet-steady"),
-    l("vf.replay_us", "us", "lower", "rounds_per_s on device-cycle, a little on fleet-steady", "link-uds"),
-    l("vf.bank_hit_ratio", "share", "higher", "rounds_per_s on device-cycle", "link-uds"),
-    l("evidence.append_us", "us", "lower", "rounds_per_s on fleet-steady", "device-cycle"),
-    l("evidence.records_per_round", "count", "lower", "rounds_per_s on fleet-steady", "device-cycle"),
-    l("evidence.seal_ms", "ms", "lower", "step_ms_p90, rounds_per_s on fleet-steady", "device-cycle"),
-    l("evidence.prove_us", "us", "lower", "read_us_* on fleet-audit", "device-cycle"),
-    l("evidence.verify_report_us", "us", "lower", "read_us_* on fleet-audit", "device-cycle"),
-    l("evidence.report_bytes", "B", "lower", "read_us_* on fleet-audit", "device-cycle"),
-    l("quorum.votes_per_round", "count", "lower", "rounds_per_s on fleet-audit", "fleet-steady"),
-    l("quorum.disputes", "count", "lower", "rounds_per_s on fleet-audit", "fleet-steady"),
-    l("sampling.skip_share", "share", "higher", "rounds_per_s on fleet-audit", "fleet-steady"),
+    l("vf.replay_us", "us", "lower", "rounds_per_s_p10 on device-cycle, a little on fleet-steady", "link-uds"),
+    l("vf.bank_hit_ratio", "share", "higher", "rounds_per_s_p10 on device-cycle", "link-uds"),
+    l("evidence.append_us", "us", "lower", "rounds_per_s_p10 on fleet-steady", "device-cycle"),
+    l("evidence.records_per_round", "count", "lower", "rounds_per_s_p10 on fleet-steady", "device-cycle"),
+    l("evidence.seal_ms", "ms", "lower", "step_ms_p90, rounds_per_s_p10 on fleet-steady", "device-cycle"),
+    l("evidence.prove_us", "us", "lower", "read_us_p90 on fleet-audit", "device-cycle"),
+    l("evidence.verify_report_us", "us", "lower", "read_us_p90 on fleet-audit", "device-cycle"),
+    l("evidence.report_bytes", "B", "lower", "read_us_p90 on fleet-audit", "device-cycle"),
+    l("quorum.votes_per_round", "count", "lower", "rounds_per_s_p10 on fleet-audit", "fleet-steady"),
+    l("quorum.disputes", "count", "lower", "rounds_per_s_p10 on fleet-audit", "fleet-steady"),
+    l("sampling.skip_share", "share", "higher", "rounds_per_s_p10 on fleet-audit", "fleet-steady"),
     l("telemetry.series", "count", "lower", "scrape_ms_p50 on fleet-audit, peak_rss_mib on fleet-steady", "device-cycle"),
-    l("telemetry.cost_share", "share", "lower", "rounds_per_s on fleet-steady", "device-cycle"),
+    l("telemetry.cost_share", "share", "lower", "rounds_per_s_p10 on fleet-steady", "device-cycle"),
     l("telemetry.rss_share", "share", "lower", "peak_rss_mib on fleet-steady", "device-cycle"),
     l("crypto.modpow_us", "us", "lower", "setup_s on every workload", ""),
     l("trace.coverage", "share", "higher", "none: attributed layer time over traced step wall", ""),

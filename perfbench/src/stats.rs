@@ -2,15 +2,25 @@
 //! span self time, and operation accounting.
 
 /// Samples a reported percentile must leave beyond it: a percentile is
-/// only reported when at least this many samples lie above it.
+/// only reported when at least this many samples lie above it (below
+/// it, for a percentile under the median).
 pub const TAIL: usize = 10;
+
+/// Samples strictly beyond nearest-rank percentile `q` of `n` samples:
+/// above it for `q >= 0.5`, below it otherwise.
+fn beyond(n: usize, q: f64) -> usize {
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+    if q >= 0.5 {
+        n - rank
+    } else {
+        rank - 1
+    }
+}
 
 /// Samples needed before percentile `q` (in `(0, 1)`) has [`TAIL`]
 /// samples beyond it.
 pub fn samples_for(q: f64) -> usize {
-    // The epsilon absorbs rounding in `1 - q` (10 / (1 - 0.9) is
-    // 100.00000000000001 in f64).
-    (TAIL as f64 / (1.0 - q) - 1e-9).ceil() as usize
+    (1..).find(|&n| beyond(n, q) >= TAIL).expect("some n")
 }
 
 /// Nearest-rank percentile of an ascending slice; `None` when empty.
@@ -46,7 +56,7 @@ impl Samples {
     /// when fewer than [`samples_for`]`(q)` samples were taken. The
     /// median is exempt (it needs one sample).
     pub fn pct(&self, q: f64) -> Result<f64, String> {
-        if q > 0.5 && self.len() < samples_for(q) {
+        if q != 0.5 && self.len() < samples_for(q) {
             return Err(format!(
                 "p{} needs {} samples, have {}",
                 (q * 100.0).round(),
@@ -63,6 +73,10 @@ impl Samples {
 
     pub fn sum(&self) -> f64 {
         self.0.iter().sum()
+    }
+
+    pub fn values(&self) -> &[f64] {
+        &self.0
     }
 }
 
@@ -141,17 +155,24 @@ mod tests {
         assert_eq!(samples_for(0.5), 20);
         assert_eq!(samples_for(0.9), 100);
         assert_eq!(samples_for(0.99), 1000);
+        assert_eq!(samples_for(0.1), 101);
+        assert_eq!(samples_for(0.01), 1001);
         // At exactly the floor, the percentile leaves TAIL samples beyond
-        // it; one sample fewer would leave fewer.
-        for q in [0.75, 0.9, 0.95, 0.99] {
+        // it (below it for low percentiles); one sample fewer would leave
+        // fewer.
+        for q in [0.01, 0.1, 0.25, 0.75, 0.9, 0.95, 0.99] {
+            let far = |v: &[f64], p: f64| {
+                v.iter()
+                    .filter(|&&x| if q >= 0.5 { x > p } else { x < p })
+                    .count()
+            };
             let n = samples_for(q);
             let sorted: Vec<f64> = (1..=n).map(|i| i as f64).collect();
             let p = percentile(&sorted, q).unwrap();
-            let beyond = sorted.iter().filter(|&&v| v > p).count();
-            assert!(beyond >= TAIL, "q={q} n={n} beyond={beyond}");
+            assert!(far(&sorted, p) >= TAIL, "q={q} n={n}");
             let fewer = &sorted[..n - 1];
             let p = percentile(fewer, q).unwrap();
-            assert!(fewer.iter().filter(|&&v| v > p).count() < TAIL, "q={q}");
+            assert!(far(fewer, p) < TAIL, "q={q}");
         }
     }
 
@@ -161,6 +182,8 @@ mod tests {
         assert_eq!(series(100).pct(0.9), Ok(90.0));
         assert!(series(999).pct(0.99).is_err());
         assert_eq!(series(1000).pct(0.99), Ok(990.0));
+        assert!(series(100).pct(0.1).is_err());
+        assert_eq!(series(101).pct(0.1), Ok(11.0));
         assert_eq!(series(1).median(), Ok(1.0));
         assert_eq!(series(4).median(), Ok(2.0));
         assert!(Samples::default().median().is_err());
