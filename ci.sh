@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, tier-1 verify, simulator-perf smoke.
+# CI gate: formatting, lints, tier-1 verify, workspace tests, simulator-perf smoke.
 #
 # Everything here runs offline (the workspace is dependency-free by
 # design — see DESIGN.md §4.5) and must pass before merge.
@@ -15,6 +15,12 @@ cargo clippy -q --release --workspace --all-targets -- -D warnings
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# Tier-1 runs only the root package's tests; this runs every crate's
+# unit and integration tests too (wire/stream fuzz, batched-replay
+# differential suite, simulator SMC and fault suites, fast path).
+echo "==> workspace tests (all crates, release + thin LTO ci profile)"
+cargo test -q --workspace --profile ci
 
 echo "==> service fleet integration (fault injection across seeds)"
 cargo test -q --test service_fleet

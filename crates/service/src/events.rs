@@ -1,6 +1,8 @@
 //! Structured event log and counters — the control plane's observability
 //! surface, exported as JSON for dashboards and the `svcperf` benchmark.
 
+use std::collections::HashMap;
+
 use sage_evidence::Freshness;
 use sage_telemetry::{Counter, Histogram, Registry};
 
@@ -208,6 +210,45 @@ pub struct LatencyPercentiles {
     pub p99: u64,
 }
 
+/// Rounds started and not yet over: each device's `(round,
+/// started_at)`. A device has at most one round outstanding, so pairing
+/// a `RoundPassed` with its `RoundStarted` is one map lookup, and a
+/// round that fails or whose device leaves is dropped — the map holds
+/// only rounds in flight.
+#[derive(Default)]
+struct OpenRounds(HashMap<String, (u64, u64)>);
+
+impl OpenRounds {
+    /// Feeds one event; returns the latency of a round it passes.
+    fn observe(&mut self, at: u64, device: &str, kind: &EventKind) -> Option<u64> {
+        match *kind {
+            EventKind::RoundStarted { round } => {
+                self.0.insert(device.to_string(), (round, at));
+                None
+            }
+            EventKind::RoundPassed { round, .. } => self.end(device, round).map(|s| at - s),
+            EventKind::RoundFailed { round, .. } => {
+                self.end(device, round);
+                None
+            }
+            EventKind::Left => {
+                self.0.remove(device);
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// Closes `device`'s open round if it is `round`; returns its start.
+    fn end(&mut self, device: &str, round: u64) -> Option<u64> {
+        let &(open, started) = self.0.get(device)?;
+        (open == round).then(|| {
+            self.0.remove(device);
+            started
+        })
+    }
+}
+
 /// The telemetry sink mirroring [`Counters`] into registry series,
 /// plus a virtual-tick round-latency histogram fed by pairing each
 /// `RoundStarted` with its `RoundPassed` (the same pairing
@@ -235,8 +276,7 @@ struct LogTelemetry {
     /// Events evicted from the bounded in-memory ring.
     events_dropped: Counter,
     round_latency: Histogram,
-    /// Rounds started but not yet passed: `(device, round, started_at)`.
-    open_rounds: Vec<(String, u64, u64)>,
+    open_rounds: OpenRounds,
 }
 
 impl LogTelemetry {
@@ -268,11 +308,14 @@ impl LogTelemetry {
             verifier_suspects: reg.counter("service_verifier_suspects_total", &[]),
             events_dropped: reg.counter("service_events_dropped_total", &[]),
             round_latency: reg.histogram("service_round_latency_ticks", &[]),
-            open_rounds: Vec::new(),
+            open_rounds: OpenRounds::default(),
         }
     }
 
     fn observe(&mut self, at: u64, device: &str, kind: &EventKind) {
+        if let Some(latency) = self.open_rounds.observe(at, device, kind) {
+            self.round_latency.record(latency);
+        }
         match kind {
             EventKind::Joined => self.joins.inc(),
             EventKind::Left => self.leaves.inc(),
@@ -283,21 +326,8 @@ impl LogTelemetry {
                     self.quarantines.inc();
                 }
             }
-            EventKind::RoundStarted { round } => {
-                self.rounds_started.inc();
-                self.open_rounds.push((device.to_string(), *round, at));
-            }
-            EventKind::RoundPassed { round, .. } => {
-                self.rounds_passed.inc();
-                if let Some(i) = self
-                    .open_rounds
-                    .iter()
-                    .position(|(d, r, _)| d == device && r == round)
-                {
-                    let (_, _, started) = self.open_rounds.swap_remove(i);
-                    self.round_latency.record(at - started);
-                }
-            }
+            EventKind::RoundStarted { .. } => self.rounds_started.inc(),
+            EventKind::RoundPassed { .. } => self.rounds_passed.inc(),
             EventKind::RoundFailed { reason, .. } => self.round_failed[*reason as usize].inc(),
             EventKind::Restarted { .. } => self.restarts.inc(),
             EventKind::LateResponse { .. } => self.late_responses.inc(),
@@ -469,26 +499,11 @@ impl EventLog {
     /// order. Rounds that failed, restarted, or are still outstanding
     /// contribute nothing.
     pub fn round_latencies(&self) -> Vec<u64> {
-        let mut open: Vec<(&str, u64, u64)> = Vec::new(); // (device, round, at)
-        let mut out = Vec::new();
-        for e in &self.events {
-            match e.kind {
-                EventKind::RoundStarted { round } => {
-                    open.push((&e.device, round, e.at));
-                }
-                EventKind::RoundPassed { round, .. } => {
-                    if let Some(i) = open
-                        .iter()
-                        .position(|&(d, r, _)| d == e.device && r == round)
-                    {
-                        let (_, _, started) = open.swap_remove(i);
-                        out.push(e.at - started);
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+        let mut open = OpenRounds::default();
+        self.events
+            .iter()
+            .filter_map(|e| open.observe(e.at, &e.device, &e.kind))
+            .collect()
     }
 
     /// p50/p90/p99 of the passed-round latencies (nearest-rank on the
@@ -744,6 +759,59 @@ mod tests {
         assert_eq!(p.p50, 20);
         assert_eq!(p.p90, 40);
         assert_eq!(p.p99, 40);
+    }
+
+    /// Rounds that fail (value, timing, timeout, link) or whose device
+    /// leaves must not stay in the open-round map: it holds only rounds
+    /// in flight, and the latency histogram sees exactly the passes.
+    #[test]
+    fn open_rounds_close_on_every_ending() {
+        let reg = Registry::new();
+        let mut log = EventLog::new();
+        log.attach_telemetry(&reg);
+        let open = |log: &EventLog| log.sink.as_ref().unwrap().open_rounds.0.len();
+        let devices = ["d0", "d1", "d2", "d3", "d4", "d5", "d6"];
+        let reasons = [
+            FailReason::WrongValue,
+            FailReason::TooSlow,
+            FailReason::Timeout,
+            FailReason::LinkDown,
+            FailReason::Relay,
+        ];
+        let (mut at, mut passed, mut latency_sum) = (0u64, 0u64, 0u64);
+        // Which devices have a round in flight.
+        let mut in_flight = [false; 7];
+        for round in 1..=60u64 {
+            for (i, dev) in devices.iter().enumerate() {
+                log.record(at, dev, EventKind::RoundStarted { round });
+                at += 1 + i as u64;
+                let pick = (round as usize + i) % 7;
+                if pick < reasons.len() {
+                    let reason = reasons[pick];
+                    log.record(at, dev, EventKind::RoundFailed { round, reason });
+                } else if pick == 5 {
+                    log.record(at, dev, EventKind::RoundPassed { round, measured: 1 });
+                    passed += 1;
+                    latency_sum += 1 + i as u64;
+                }
+                // pick == 6 leaves the round open; the next start
+                // replaces it.
+                in_flight[i] = pick == 6;
+                let want = in_flight.iter().filter(|&&f| f).count();
+                assert_eq!(open(&log), want, "round {round}, {dev}");
+            }
+        }
+        // Every device leaves, with or without a round in flight.
+        assert!(open(&log) > 0);
+        for dev in devices {
+            log.record(at, dev, EventKind::Left);
+        }
+        assert_eq!(open(&log), 0);
+        let snap = reg.histogram("service_round_latency_ticks", &[]).snapshot();
+        assert_eq!(snap.count(), passed);
+        assert_eq!(snap.sum, latency_sum);
+        assert_eq!(log.round_latencies().len() as u64, passed);
+        assert_eq!(log.round_latencies().iter().sum::<u64>(), latency_sum);
     }
 
     #[test]

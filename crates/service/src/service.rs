@@ -61,6 +61,7 @@
 use sage::channel::{Role, SecureChannel};
 use sage::multi::{power_score, FleetMember};
 use sage::sake::{key_fingerprint, SakeMessage};
+use sage::timing::VerificationStats;
 use sage::verifier::Verifier;
 use sage::{GpuSession, SageError};
 use sage_crypto::DhGroup;
@@ -513,25 +514,20 @@ impl<T: Transport> AttestationService<T> {
 
     /// Attaches the whole service to a telemetry registry: the event
     /// log's round-lifecycle counters and latency histogram
-    /// (`service_*`), every enrolled device's verifier verdicts
-    /// (`verifier_*{device, cause, path}`), challenge-bank counters
-    /// (`vf_bank_*{device}`) and simulator stats (`sim_*{device}`).
-    /// Devices joining later are attached automatically. Attaching
-    /// after a crash-restore replays the restored event history into
-    /// the sink first, so the series match a service that never
-    /// stopped.
+    /// (`service_*`), the verifiers' verdicts (`verifier_*{cause,
+    /// path}`), challenge-bank counters (`vf_bank_*`) and simulator
+    /// stats (`sim_*`). Every series is fleet-level: all devices record
+    /// into the same series, so the series count does not grow with
+    /// the fleet. Per-device numbers come from [`Self::statuses`],
+    /// [`Self::health_of`] and [`Self::verdicts_of`]. Devices joining
+    /// later are attached automatically. Attaching after a
+    /// crash-restore replays the restored event history into the sink
+    /// first, so the series match a service that never stopped.
     pub fn attach_telemetry(&mut self, reg: &Registry) {
         self.log.attach_telemetry(reg);
-        for i in 0..self.roster.len() {
-            let slot = self.roster[i] as usize;
-            let d = &mut self.devices[slot];
-            let name = d.node.member.name.clone();
-            d.verifier.attach_telemetry(reg, &[("device", &name)]);
-            d.node
-                .member
-                .session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+        for &slot in &self.roster {
+            let d = &mut self.devices[slot as usize];
+            attach_device_telemetry(reg, &mut d.verifier, &mut d.node.member.session);
         }
         // The sampling layer's model quantities: the coverage knob and
         // the closed-form detection probability at the horizon `k` that
@@ -634,6 +630,13 @@ impl<T: Transport> AttestationService<T> {
         })
     }
 
+    /// The verdict counts of a device's verifier (accepts, timing and
+    /// value rejects), if managed — the per-device view of the
+    /// fleet-level `verifier_*` series.
+    pub fn verdicts_of(&self, name: &str) -> Option<VerificationStats> {
+        self.find(name).map(|i| self.devices[i].verifier.stats())
+    }
+
     /// The calibrated detection threshold of a device, in cycles.
     pub fn threshold_of(&self, name: &str) -> Option<u64> {
         self.find(name)
@@ -689,11 +692,7 @@ impl<T: Transport> AttestationService<T> {
             }
         }
         if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg, &[("device", &name)]);
-            member
-                .session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+            attach_device_telemetry(reg, &mut verifier, &mut member.session);
         }
 
         let mut state = DeviceState::Enrolled;
@@ -1530,10 +1529,7 @@ impl AttestationService<crate::tcp::TcpTransport> {
             }
         }
         if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg, &[("device", &name)]);
-            twin.session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+            attach_device_telemetry(reg, &mut verifier, &mut twin.session);
         }
 
         let mut state = DeviceState::Enrolled;
@@ -1625,6 +1621,14 @@ impl AttestationService<crate::tcp::TcpTransport> {
         }
         self.admit_device(id, twin, verifier, state, outcome)
     }
+}
+
+/// Attaches one device's verifier and simulator to the fleet-level
+/// series. No `device` label: every device records into the same
+/// series, so the registry stays the same size at any fleet size.
+fn attach_device_telemetry(reg: &Registry, verifier: &mut Verifier, session: &mut GpuSession) {
+    verifier.attach_telemetry(reg, &[]);
+    session.dev.install_telemetry(reg, &[]);
 }
 
 /// Runs one device's due work in the canonical per-device phase order,

@@ -85,6 +85,11 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
+
+    /// Whether `self` and `other` are handles to the same counter.
+    pub fn same_as(&self, other: &Counter) -> bool {
+        Arc::ptr_eq(&self.shards, &other.shards)
+    }
 }
 
 impl std::fmt::Debug for Counter {
@@ -114,6 +119,8 @@ mod tests {
         b.add(7);
         assert_eq!(a.get(), 12);
         assert_eq!(b.get(), 12);
+        assert!(a.same_as(&b));
+        assert!(!a.same_as(&Counter::new()));
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! either ask the registry to mint an instrument
 //! ([`Registry::counter`] / [`Registry::histogram`] — get-or-create,
 //! so two callers naming the same series share state) or register an
-//! instrument they already own ([`Registry::register_counter`] /
-//! [`Registry::register_histogram`] — how the `ChallengeBank` exposes
-//! counters that predate the registry).
+//! instrument they already own ([`Registry::register_histogram`] — how
+//! the `ReplayPool` exposes a histogram that predates the registry).
 //!
 //! # Exporters and schema stability
 //!
 //! [`Registry::to_json`] and [`Registry::to_prometheus`] sort series
 //! by `(name, labels)` and format numbers deterministically, so equal
 //! telemetry states render byte-identically. The JSON schema carries
-//! an explicit `"schema": 1` version; bumping it is a deliberate act
-//! that breaks the golden tests (DESIGN.md §8).
+//! an explicit `"schema": 2` version; bumping it is a deliberate act
+//! that breaks the golden tests (DESIGN.md §8). Version 2 dropped the
+//! per-device `device` label: the service's series are fleet-level.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -138,20 +138,10 @@ impl Registry {
         h
     }
 
-    /// Registers an existing counter under `name{labels}` (shares state
-    /// with the caller's handle). Replaces any previous instrument on
-    /// the same series — re-registration after a component restart must
-    /// expose the live instrument, not a stale one.
-    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Counter) {
-        self.register(name, labels, Instrument::Counter(counter));
-    }
-
-    /// Registers an existing gauge under `name{labels}`.
-    pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: Gauge) {
-        self.register(name, labels, Instrument::Gauge(gauge));
-    }
-
-    /// Registers an existing histogram under `name{labels}`.
+    /// Registers an existing histogram under `name{labels}` (shares
+    /// state with the caller's handle). Replaces any previous instrument
+    /// on the same series — re-registration after a component restart
+    /// must expose the live instrument, not a stale one.
     pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], hist: Histogram) {
         self.register(name, labels, Instrument::Histogram(hist));
     }
@@ -191,7 +181,7 @@ impl Registry {
     /// (bucket upper bounds) and the non-empty buckets as
     /// `[upper_bound, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"metrics\": [\n");
+        let mut out = String::from("{\n  \"schema\": 2,\n  \"metrics\": [\n");
         let collected = self.collect();
         for (i, (name, labels, value)) in collected.iter().enumerate() {
             out.push_str("    {\"name\": \"");
@@ -405,13 +395,23 @@ mod tests {
     }
 
     #[test]
-    fn registered_counter_shares_state() {
+    fn registered_histogram_shares_state() {
         let reg = Registry::new();
-        let mine = Counter::new();
-        mine.add(7);
-        reg.register_counter("bank_hits_total", &[], mine.clone());
-        mine.add(1);
-        assert_eq!(reg.collect()[0].2, MetricValue::Counter(8));
+        let mine = Histogram::new();
+        mine.record(7);
+        reg.register_histogram("claim_ns", &[], mine.clone());
+        mine.record(1);
+        let MetricValue::Histogram(snap) = reg.collect()[0].2 else {
+            panic!("claim_ns is a histogram");
+        };
+        assert_eq!((snap.count(), snap.sum), (2, 8));
+        // Re-registering replaces the instrument instead of adding one.
+        reg.register_histogram("claim_ns", &[], Histogram::new());
+        assert_eq!(reg.collect().len(), 1);
+        let MetricValue::Histogram(snap) = reg.collect()[0].2 else {
+            panic!("claim_ns is a histogram");
+        };
+        assert_eq!(snap.count(), 0);
     }
 
     #[test]
@@ -446,7 +446,7 @@ mod tests {
         let alpha = a.find("alpha_total").unwrap();
         let zeta = a.find("zeta_total").unwrap();
         assert!(alpha < zeta, "series must be name-sorted");
-        assert!(a.contains("\"schema\": 1"));
+        assert!(a.contains("\"schema\": 2"));
         assert!(a.contains("\"count\": 2, \"sum\": 110"));
     }
 

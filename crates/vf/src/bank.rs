@@ -150,10 +150,43 @@ fn guard_tag(round: &PrecomputedRound) -> u64 {
     h
 }
 
+/// One effectiveness event, in [`BankCounters`] field order.
+#[derive(Clone, Copy)]
+enum Tally {
+    Hit,
+    Miss,
+    Refill,
+    ForeignFingerprint,
+    Poisoned,
+}
+
+/// Registry series names, in [`Tally`] order.
+const TALLY_SERIES: [&str; 5] = [
+    "vf_bank_hits_total",
+    "vf_bank_misses_total",
+    "vf_bank_refills_total",
+    "vf_bank_fingerprint_rejects_total",
+    "vf_bank_poisoned_total",
+];
+
 struct BankState {
     queue: VecDeque<Stocked>,
     gen: ChallengeFn,
     stop: bool,
+    /// This bank's effectiveness counts, in [`Tally`] order.
+    tally: [u64; 5],
+    /// Registry series every count is also added to (see
+    /// [`ChallengeBank::register_telemetry`]).
+    series: Option<[Counter; 5]>,
+}
+
+impl BankState {
+    fn count(&mut self, what: Tally) {
+        self.tally[what as usize] += 1;
+        if let Some(series) = &self.series {
+            series[what as usize].inc();
+        }
+    }
 }
 
 struct Inner {
@@ -165,14 +198,6 @@ struct Inner {
     space: Condvar,
     /// Signalled when stock arrives — blocking takers wait.
     stock: Condvar,
-    /// Effectiveness counters, shared telemetry instruments so a
-    /// registry sees the live values (see
-    /// [`ChallengeBank::register_telemetry`]).
-    hits: Counter,
-    misses: Counter,
-    refills: Counter,
-    fingerprint_rejects: Counter,
-    poisoned: Counter,
 }
 
 /// A bounded, fingerprint-keyed queue of precomputed rounds.
@@ -212,7 +237,7 @@ impl Inner {
         };
         let guard = guard_tag(&round);
         state.queue.push_back(Stocked { round, guard });
-        self.refills.inc();
+        state.count(Tally::Refill);
         self.stock.notify_all();
     }
 
@@ -225,7 +250,7 @@ impl Inner {
             if stocked.guard == guard_tag(&stocked.round) {
                 return Some(stocked.round);
             }
-            self.poisoned.inc();
+            state.count(Tally::Poisoned);
         }
         None
     }
@@ -243,14 +268,11 @@ impl ChallengeBank {
                 queue: VecDeque::new(),
                 gen,
                 stop: false,
+                tally: [0; 5],
+                series: None,
             }),
             space: Condvar::new(),
             stock: Condvar::new(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            refills: Counter::new(),
-            fingerprint_rejects: Counter::new(),
-            poisoned: Counter::new(),
         });
         // Failure to spawn a worker (thread exhaustion on the verifier
         // host) degrades the bank to fewer — possibly zero — background
@@ -290,34 +312,37 @@ impl ChallengeBank {
         self.inner.capacity
     }
 
-    /// Exposes the live effectiveness counters through a telemetry
-    /// registry as `vf_bank_*_total{labels}` series. The registered
-    /// instruments *are* the bank's own counters (shared state), so the
-    /// registry always exports current values with no polling adapter.
+    /// Counts this bank's effectiveness events into the registry's
+    /// `vf_bank_*_total{labels}` counters (get-or-create, so every bank
+    /// registered under the same labels adds to one shared series).
+    /// The counts so far are added at registration, so a series always
+    /// holds the full history of every bank registered with it.
+    /// Registering again moves the bank's counting to the new series;
+    /// registering again with the same series changes nothing.
     pub fn register_telemetry(&self, reg: &Registry, labels: &[(&str, &str)]) {
-        reg.register_counter("vf_bank_hits_total", labels, self.inner.hits.clone());
-        reg.register_counter("vf_bank_misses_total", labels, self.inner.misses.clone());
-        reg.register_counter("vf_bank_refills_total", labels, self.inner.refills.clone());
-        reg.register_counter(
-            "vf_bank_fingerprint_rejects_total",
-            labels,
-            self.inner.fingerprint_rejects.clone(),
-        );
-        reg.register_counter(
-            "vf_bank_poisoned_total",
-            labels,
-            self.inner.poisoned.clone(),
-        );
+        let series = TALLY_SERIES.map(|name| reg.counter(name, labels));
+        let mut state = lock_unpoisoned(&self.inner.state);
+        if let Some(current) = &state.series {
+            if current[0].same_as(&series[0]) {
+                return;
+            }
+        }
+        for (s, &n) in series.iter().zip(&state.tally) {
+            s.add(n);
+        }
+        state.series = Some(series);
     }
 
     /// Counter snapshot.
     pub fn counters(&self) -> BankCounters {
+        let [hits, misses, refills, fingerprint_rejects, poisoned] =
+            lock_unpoisoned(&self.inner.state).tally;
         BankCounters {
-            hits: self.inner.hits.get(),
-            misses: self.inner.misses.get(),
-            refills: self.inner.refills.get(),
-            fingerprint_rejects: self.inner.fingerprint_rejects.get(),
-            poisoned: self.inner.poisoned.get(),
+            hits,
+            misses,
+            refills,
+            fingerprint_rejects,
+            poisoned,
         }
     }
 
@@ -328,21 +353,18 @@ impl ChallengeBank {
     /// build than this bank serves — stock computed for build A is never
     /// issued for build B.
     pub fn take(&self, fp: &Fingerprint) -> Result<Option<PrecomputedRound>, BankError> {
+        let mut state = lock_unpoisoned(&self.inner.state);
         if *fp != self.inner.fingerprint {
-            self.inner.fingerprint_rejects.inc();
+            state.count(Tally::ForeignFingerprint);
             return Err(BankError::ForeignFingerprint);
         }
-        let mut state = lock_unpoisoned(&self.inner.state);
-        match self.inner.pop_valid(&mut state) {
-            Some(pair) => {
-                self.inner.hits.inc();
-                Ok(Some(pair))
-            }
-            None => {
-                self.inner.misses.inc();
-                Ok(None)
-            }
-        }
+        let pair = self.inner.pop_valid(&mut state);
+        state.count(if pair.is_some() {
+            Tally::Hit
+        } else {
+            Tally::Miss
+        });
+        Ok(pair)
     }
 
     /// Blocking take: always returns a *valid* pair for a matching
@@ -351,21 +373,21 @@ impl ChallengeBank {
     /// empty — or fully poisoned — bank is refilled synchronously on the
     /// calling thread, preserving the deterministic generator order.
     pub fn take_blocking(&self, fp: &Fingerprint) -> Result<PrecomputedRound, BankError> {
+        let mut state = lock_unpoisoned(&self.inner.state);
         if *fp != self.inner.fingerprint {
-            self.inner.fingerprint_rejects.inc();
+            state.count(Tally::ForeignFingerprint);
             return Err(BankError::ForeignFingerprint);
         }
-        let mut state = lock_unpoisoned(&self.inner.state);
         let mut first_attempt = true;
         loop {
             if let Some(pair) = self.inner.pop_valid(&mut state) {
                 if first_attempt {
-                    self.inner.hits.inc();
+                    state.count(Tally::Hit);
                 }
                 return Ok(pair);
             }
             if first_attempt {
-                self.inner.misses.inc();
+                state.count(Tally::Miss);
                 first_attempt = false;
             }
             if self.workers.is_empty() {
@@ -502,7 +524,7 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
             };
             let guard = guard_tag(&round);
             state.queue.push_back(Stocked { round, guard });
-            bank.inner.refills.inc();
+            state.count(Tally::Refill);
         }
         bank.inner.stock.notify_all();
     }
@@ -546,7 +568,7 @@ fn worker_loop(inner: &Inner) {
         };
         let guard = guard_tag(&round);
         state.queue.push_back(Stocked { round, guard });
-        inner.refills.inc();
+        state.count(Tally::Refill);
         inner.stock.notify_all();
     }
 }
@@ -689,6 +711,30 @@ mod tests {
         // never re-issues.
         assert_ne!(first.challenges, third.challenges);
         assert_eq!(bank.counters().refills, 4);
+    }
+
+    #[test]
+    fn banks_registered_alike_share_one_series() {
+        let reg = Registry::new();
+        let (a, b) = (sync_bank(7, 2, 1), sync_bank(7, 2, 2));
+        // Counts before registration are carried into the series.
+        a.fill(2);
+        a.register_telemetry(&reg, &[]);
+        b.register_telemetry(&reg, &[]);
+        // Registering again with the same series adds nothing.
+        a.register_telemetry(&reg, &[]);
+        let fp = a.fingerprint();
+        assert!(a.take(&fp).unwrap().is_some());
+        assert!(b.take(&fp).unwrap().is_none());
+        b.take_blocking(&fp).unwrap();
+        let series = |name: &str| reg.counter(name, &[]).get();
+        assert_eq!(series("vf_bank_refills_total"), 3);
+        assert_eq!(series("vf_bank_hits_total"), 1);
+        assert_eq!(series("vf_bank_misses_total"), 2);
+        assert_eq!(reg.collect().len(), TALLY_SERIES.len());
+        // Each bank still reports its own counts.
+        assert_eq!(a.counters().refills + b.counters().refills, 3);
+        assert_eq!(b.counters().misses, 2);
     }
 
     #[test]

@@ -150,9 +150,12 @@ fn main() {
 
     println!("\n== final fleet state ==");
     for s in svc.statuses() {
+        let v = svc
+            .verdicts_of(&s.name)
+            .expect("listed devices are managed");
         println!(
-            "  {:8} {:11} rounds_passed={:3} consecutive_failures={}",
-            s.name, s.state, s.rounds_passed, s.consecutive_failures
+            "  {:8} {:11} rounds_passed={:3} consecutive_failures={} accepted={} value_rejects={}",
+            s.name, s.state, s.rounds_passed, s.consecutive_failures, v.accepted, v.value_rejects
         );
     }
     let c = svc.log().counters();
@@ -168,7 +171,8 @@ fn main() {
 
     // The unified telemetry view of the same story: the scrape-ready
     // round-lifecycle and verdict series (the full export also carries
-    // per-device bank and simulator families — see DESIGN.md §8).
+    // the bank and simulator families). Every series is fleet-level;
+    // the per-device view is the state table above (DESIGN.md §8).
     println!("\n== telemetry (service_* / verifier_* scrape excerpt) ==");
     for line in reg.to_prometheus().lines() {
         if line.starts_with("service_") || line.starts_with("verifier_rejects_total") {

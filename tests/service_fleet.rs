@@ -401,3 +401,93 @@ fn freshness_decays_without_reattestation_and_reverses_on_a_pass() {
         "sealed-epoch counter"
     );
 }
+
+/// Runs a `size`-device fleet with telemetry attached: every device
+/// enrolls and attests, device 0 is compromised with the §8 replay tap
+/// and driven into quarantine, then every third honest device leaves.
+/// Returns the service, its registry and the series count before the
+/// leaves.
+fn telemetry_fleet(size: usize) -> (AttestationService<SimNet>, Registry, usize) {
+    let cfg = ServiceConfig {
+        reattest_interval: 20_000,
+        latency_budget: 200,
+        deadline_slack: 2_000,
+        calibration_runs: 5,
+        policy: Policy::default(),
+        ..ServiceConfig::default()
+    };
+    let reg = Registry::new();
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(13));
+    svc.attach_telemetry(&reg);
+    for i in 0..size {
+        let seed = 41 + i as u8;
+        let m = member(&format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), seed);
+        svc.join(m, enclave(seed.wrapping_add(20)));
+    }
+    svc.run_for(45_000);
+    compromise_with_replay(&mut svc, "gpu-00");
+    svc.run_for(200_000);
+    assert_eq!(svc.state_of("gpu-00"), Some(DeviceState::Quarantined));
+    let series = reg.collect().len();
+    for i in (1..size).step_by(3) {
+        assert!(svc.leave(&format!("gpu-{i:02}")));
+    }
+    svc.run_for(60_000);
+    (svc, reg, series)
+}
+
+/// Telemetry is fleet-level: a 40-device fleet exports exactly as many
+/// series as a 2-device one, devices leaving changes nothing, and the
+/// per-device verdicts (`verdicts_of`) add up to the fleet counters.
+#[test]
+fn telemetry_series_count_is_independent_of_fleet_size() {
+    let (small, small_reg, small_series) = telemetry_fleet(2);
+    let (large, large_reg, large_series) = telemetry_fleet(40);
+    assert_eq!(small_series, large_series, "series grew with the fleet");
+    assert_eq!(
+        small_reg.collect().len(),
+        small_series,
+        "leaves changed the series"
+    );
+    assert_eq!(
+        large_reg.collect().len(),
+        large_series,
+        "leaves changed the series"
+    );
+    assert!(large.log().counters().leaves > 0);
+
+    for (svc, reg) in [(&small, &small_reg), (&large, &large_reg)] {
+        let statuses = svc.statuses();
+        let (mut accepted, mut value_rejects, mut timing_rejects) = (0, 0, 0);
+        for s in &statuses {
+            let v = svc.verdicts_of(&s.name).expect("managed device");
+            accepted += v.accepted;
+            value_rejects += v.value_rejects;
+            timing_rejects += v.timing_rejects;
+        }
+        // A verdict series summed over both verdict paths.
+        let both_paths = |name: &str, cause: &[(&str, &str)]| -> u64 {
+            ["classic", "precomputed"]
+                .iter()
+                .map(|&p| counter_value(reg, name, &[cause, &[("path", p)]].concat()))
+                .sum()
+        };
+        let wrong_value = [("cause", "wrong_value")];
+        let too_slow = [("cause", "too_slow")];
+        assert_eq!(
+            value_rejects,
+            both_paths("verifier_rejects_total", &wrong_value)
+        );
+        assert_eq!(
+            timing_rejects,
+            both_paths("verifier_rejects_total", &too_slow)
+        );
+        assert!(value_rejects > 0, "the compromised device was rejected");
+        // `VerificationStats::accepted` also counts each device's SAKE
+        // key establishment, which is not a round verdict and has no
+        // accept series: one per enrolled device.
+        let round_accepts = both_paths("verifier_accepts_total", &[]);
+        assert_eq!(accepted, round_accepts + statuses.len() as u64);
+    }
+    assert_eq!(large.verdicts_of("no-such-gpu"), None);
+}
