@@ -106,11 +106,9 @@ impl EvidenceChain {
     /// Records with `seq > after_seq`, oldest first — the chain suffix a
     /// [`crate::report::DeviceReport`] carries past a sealed epoch.
     pub fn suffix(&self, after_seq: u64) -> Vec<EvidenceRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.seq > after_seq)
-            .cloned()
-            .collect()
+        // Records are seq-ordered, so the suffix is a binary search away.
+        let start = self.records.partition_point(|r| r.seq <= after_seq);
+        self.records[start..].to_vec()
     }
 
     /// Appends one attested stage at virtual time `at`, returning the
@@ -222,6 +220,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(head, chain.head());
+    }
+
+    #[test]
+    fn suffix_matches_a_full_filter_at_every_cut() {
+        let mut chain = EvidenceChain::new("gpu-a", &[3u8; 16]);
+        for i in 0..6 {
+            chain.append(100 * (i + 1), liveness(i));
+        }
+        let len = chain.seq();
+        for k in 0..=len + 1 {
+            let filtered: Vec<EvidenceRecord> = chain
+                .records()
+                .iter()
+                .filter(|r| r.seq > k)
+                .cloned()
+                .collect();
+            assert_eq!(chain.suffix(k), filtered, "after seq {k}");
+        }
     }
 
     #[test]

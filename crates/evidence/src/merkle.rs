@@ -58,29 +58,89 @@ fn inner_hash(hasher: &mut Sha256, left: &[u8; 32], right: &[u8; 32]) -> [u8; 32
     hasher.finalize_reset()
 }
 
-/// Computes the epoch root over `leaves` (in the given order; the
-/// service sorts by device name so the root is order-canonical). An
-/// empty leaf set has the domain-tagged empty root.
-pub fn epoch_root(leaves: &[EpochLeaf]) -> [u8; 32] {
-    let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
-    if level.is_empty() {
-        let mut h = Sha256::new();
-        h.update(b"sage-evidence-empty-epoch");
-        return h.finalize();
+/// Every level of one epoch's Merkle tree, hashed once: leaf hashes at
+/// the bottom, the root alone at the top. Holding the levels turns an
+/// inclusion proof into one sibling read per level — O(log n) instead of
+/// re-hashing the whole fleet — at ~64 B per leaf.
+#[derive(Clone, Debug, Default)]
+pub struct EpochTree {
+    /// `levels[0]` are the leaf hashes, each next level their parents;
+    /// the last level is the single root. Empty for an empty epoch.
+    levels: Vec<Vec<[u8; 32]>>,
+}
+
+impl EpochTree {
+    /// Hashes `leaves` (in the given order; the service sorts by device
+    /// name so the root is order-canonical) into every tree level.
+    pub fn build(leaves: &[EpochLeaf]) -> EpochTree {
+        let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
+        let mut levels = Vec::new();
+        let mut hasher = Sha256::new();
+        while level.len() > 1 {
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => inner_hash(&mut hasher, l, r),
+                    [odd] => *odd, // promoted, not duplicated
+                    _ => unreachable!("chunks(2)"),
+                })
+                .collect();
+            levels.push(core::mem::replace(&mut level, next));
+        }
+        if !level.is_empty() {
+            levels.push(level);
+        }
+        EpochTree { levels }
     }
-    let mut hasher = Sha256::new();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len() / 2 + 1);
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(inner_hash(&mut hasher, l, r)),
-                [odd] => next.push(*odd), // promoted, not duplicated
-                _ => unreachable!("chunks(2)"),
+
+    /// Number of leaves the tree commits to.
+    fn len(&self) -> usize {
+        self.levels.first().map_or(0, Vec::len)
+    }
+
+    /// The epoch root. An empty leaf set has the domain-tagged empty
+    /// root.
+    pub fn root(&self) -> [u8; 32] {
+        match self.levels.last() {
+            Some(top) => top[0],
+            None => {
+                let mut h = Sha256::new();
+                h.update(b"sage-evidence-empty-epoch");
+                h.finalize()
             }
         }
-        level = next;
     }
-    level[0]
+
+    /// The inclusion proof for leaf `index`: its sibling at every level
+    /// below the root, bottom-up. A level where the node is the odd one
+    /// out (promoted) contributes no step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn prove(&self, index: usize) -> InclusionProof {
+        assert!(index < self.len(), "leaf index out of bounds");
+        let below_root = &self.levels[..self.levels.len() - 1];
+        let mut pos = index;
+        let mut steps = Vec::with_capacity(below_root.len());
+        for level in below_root {
+            let sibling = pos ^ 1;
+            if let Some(hash) = level.get(sibling) {
+                steps.push(ProofStep {
+                    sibling: *hash,
+                    sibling_on_left: sibling < pos,
+                });
+            }
+            pos /= 2;
+        }
+        InclusionProof { steps }
+    }
+}
+
+/// Computes the epoch root over `leaves` (see [`EpochTree::build`] for
+/// the order and hashing rules).
+pub fn epoch_root(leaves: &[EpochLeaf]) -> [u8; 32] {
+    EpochTree::build(leaves).root()
 }
 
 /// One step of an inclusion proof: the sibling hash and which side it
@@ -132,38 +192,15 @@ impl InclusionProof {
     }
 }
 
-/// Builds the inclusion proof for `leaves[index]`.
+/// Builds the inclusion proof for `leaves[index]` from scratch — a full
+/// O(n) tree build. Callers proving many leaves of one epoch should
+/// build an [`EpochTree`] once and [`EpochTree::prove`] from it.
 ///
 /// # Panics
 ///
 /// Panics if `index` is out of bounds.
 pub fn prove_inclusion(leaves: &[EpochLeaf], index: usize) -> InclusionProof {
-    assert!(index < leaves.len(), "leaf index out of bounds");
-    let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
-    let mut pos = index;
-    let mut steps = Vec::new();
-    let mut hasher = Sha256::new();
-    while level.len() > 1 {
-        let sibling = pos ^ 1;
-        if sibling < level.len() {
-            steps.push(ProofStep {
-                sibling: level[sibling],
-                sibling_on_left: sibling < pos,
-            });
-        }
-        // else: odd node promoted — no step at this level.
-        let mut next = Vec::with_capacity(level.len() / 2 + 1);
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(inner_hash(&mut hasher, l, r)),
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2)"),
-            }
-        }
-        pos /= 2;
-        level = next;
-    }
-    InclusionProof { steps }
+    EpochTree::build(leaves).prove(index)
 }
 
 /// Verifies that `leaf` is included under `root` via `proof`.
@@ -194,19 +231,80 @@ mod tests {
             .collect()
     }
 
+    fn hex(bytes: [u8; 32]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The per-call rebuild `prove_inclusion` did before trees were
+    /// kept: re-hash every level, picking the sibling on the way up.
+    fn rebuilt_proof(leaves: &[EpochLeaf], index: usize) -> InclusionProof {
+        let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
+        let mut pos = index;
+        let mut steps = Vec::new();
+        let mut hasher = Sha256::new();
+        while level.len() > 1 {
+            let sibling = pos ^ 1;
+            if sibling < level.len() {
+                steps.push(ProofStep {
+                    sibling: level[sibling],
+                    sibling_on_left: sibling < pos,
+                });
+            }
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => inner_hash(&mut hasher, l, r),
+                    [odd] => *odd,
+                    _ => unreachable!("chunks(2)"),
+                })
+                .collect();
+            pos /= 2;
+        }
+        InclusionProof { steps }
+    }
+
     #[test]
     fn every_leaf_proves_for_all_fleet_sizes() {
-        for n in 1..=9 {
+        // 1..=70 walks every odd-promotion shape up to seven levels.
+        for n in 1..=70 {
             let leaves = fleet(n);
+            let tree = EpochTree::build(&leaves);
             let root = epoch_root(&leaves);
+            assert_eq!(tree.root(), root, "fleet {n}");
+            assert_eq!(tree.len(), n);
             for i in 0..n {
-                let proof = prove_inclusion(&leaves, i);
+                let proof = tree.prove(i);
+                assert_eq!(proof, prove_inclusion(&leaves, i), "fleet {n}, leaf {i}");
+                assert_eq!(proof, rebuilt_proof(&leaves, i), "fleet {n}, leaf {i}");
                 assert!(
                     verify_inclusion(&leaves[i], &proof, &root),
                     "fleet {n}, leaf {i}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn roots_match_golden() {
+        // Pinned before the tree was kept whole: a rewrite of the
+        // hashing must not move any published root.
+        assert_eq!(
+            hex(epoch_root(&fleet(7))),
+            "702a5c8336bff6abae37adcc9ec524b8f17a13d912946912ba0bd660eedd3a4a"
+        );
+        assert_eq!(
+            hex(epoch_root(&[])),
+            "3090f94b36519cde373f33380524af15e8593755628a774afe6a693ad6a1e324"
+        );
+        let empty = EpochTree::build(&[]);
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.root(), epoch_root(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf index out of bounds")]
+    fn proving_past_the_last_leaf_panics() {
+        EpochTree::build(&fleet(3)).prove(3);
     }
 
     #[test]

@@ -65,7 +65,7 @@ use sage::timing::VerificationStats;
 use sage::verifier::Verifier;
 use sage::{GpuSession, SageError};
 use sage_crypto::DhGroup;
-use sage_evidence::merkle::{epoch_root, prove_inclusion, EpochLeaf};
+use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::report::{DeviceReport, FreshnessClaim};
 use sage_evidence::{EvidenceChain, EvidencePath, EvidencePayload, Freshness, StageVerdict};
 use sage_sgx_sim::Enclave;
@@ -78,7 +78,7 @@ use crate::node::DeviceNode;
 use crate::policy::{seeded_jitter, Policy};
 use crate::quorum::{QuorumConfig, VerifierSet};
 use crate::sampling::SamplingConfig;
-use crate::shard::ShardIndex;
+use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 use crate::wire::{self, Frame};
 
@@ -445,6 +445,10 @@ pub struct AttestationService<T: Transport> {
     /// index carry bare slot numbers. Power ordering lives in
     /// `roster`, not here.
     pub(crate) devices: Vec<ManagedDevice>,
+    /// `name → slot` of the first device admitted under each name (the
+    /// slot a scan of `devices` would find first). Slots are
+    /// append-only, so an entry never goes stale.
+    pub(crate) slot_of: FxHashMap<String, u32>,
     pub(crate) log: EventLog,
     pub(crate) next_node: u16,
     pub(crate) registry: Option<Registry>,
@@ -453,6 +457,10 @@ pub struct AttestationService<T: Transport> {
     pub(crate) prefill_wall: core::time::Duration,
     /// Sealed fleet evidence epochs, oldest first.
     pub(crate) sealed_epochs: Vec<SealedEpoch>,
+    /// The newest sealed epoch's Merkle tree (empty before the first
+    /// seal), kept so a report's inclusion proof is O(log n) sibling
+    /// reads rather than a full re-hash.
+    pub(crate) newest_tree: EpochTree,
     /// When the next epoch seals (`None` while epochs are disabled).
     pub(crate) next_seal_at: Option<u64>,
     /// Due re-attestations, deadlines, and freshness boundaries.
@@ -486,11 +494,13 @@ impl<T: Transport> AttestationService<T> {
             net,
             now: 0,
             devices: Vec::new(),
+            slot_of: FxHashMap::default(),
             log: EventLog::with_capacity(cfg.event_capacity),
             next_node: 1,
             registry: None,
             prefill_wall: core::time::Duration::ZERO,
             sealed_epochs: Vec::new(),
+            newest_tree: EpochTree::default(),
             next_seal_at: (cfg.epoch_interval > 0).then_some(cfg.epoch_interval),
             timers: TimerWheel::new(),
             index: ShardIndex::new(cfg.shards),
@@ -594,7 +604,14 @@ impl<T: Transport> AttestationService<T> {
     }
 
     fn find(&self, name: &str) -> Option<usize> {
-        self.devices.iter().position(|d| d.node.member.name == name)
+        let slot = *self.slot_of.get(name)? as usize;
+        // `node_mut` hands out the device's name mutably; a rename
+        // would leave this index pointing at the wrong device.
+        debug_assert_eq!(
+            self.devices[slot].node.member.name, name,
+            "device renamed behind the name index"
+        );
+        Some(slot)
     }
 
     /// The lifecycle state of a device, if managed.
@@ -793,6 +810,7 @@ impl<T: Transport> AttestationService<T> {
             link_up: true,
         });
         self.index.insert(id, slot);
+        self.slot_of.entry(name).or_insert(slot as u32);
         self.work_of.push(u32::MAX);
         self.insert_roster(slot);
         if let Some(t) = next_action_at {
@@ -1237,7 +1255,11 @@ impl<T: Transport> AttestationService<T> {
             // Name order is the canonical leaf order the root commits to
             // (the roster itself is power-ordered and churns).
             leaves.sort_by(|a, b| a.device.cmp(&b.device));
-            let root = epoch_root(&leaves);
+            // Only the newest tree is kept: drop the previous one first
+            // so two never coexist.
+            drop(core::mem::take(&mut self.newest_tree));
+            self.newest_tree = EpochTree::build(&leaves);
+            let root = self.newest_tree.root();
             let index = self.sealed_epochs.last().map_or(1, |e| e.index + 1);
             self.log
                 .record(t, "fleet", EventKind::EpochSealed { epoch: index, root });
@@ -1337,9 +1359,11 @@ impl<T: Transport> AttestationService<T> {
         let d = &self.devices[self.find(name)?];
         let chain = d.evidence.as_ref()?;
         let epoch = self.sealed_epochs.last()?;
-        let pos = epoch.leaves.iter().position(|l| l.device == name)?;
-        let leaf = epoch.leaves[pos].clone();
-        let proof = prove_inclusion(&epoch.leaves, pos);
+        // Leaves are name-sorted (stably), so this is the first leaf
+        // under `name`.
+        let pos = epoch.leaves.partition_point(|l| l.device.as_str() < name);
+        let leaf = epoch.leaves.get(pos).filter(|l| l.device == name)?.clone();
+        let proof = self.newest_tree.prove(pos);
         let suffix = chain.suffix(leaf.seq);
         let claim = FreshnessClaim {
             policy: self.cfg.freshness,

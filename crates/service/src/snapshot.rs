@@ -22,7 +22,7 @@ use sage::verifier::Verifier;
 use sage::Calibration;
 use sage_crypto::DhGroup;
 use sage_evidence::chain::{decode_records, encode_records};
-use sage_evidence::merkle::EpochLeaf;
+use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::record::EvidenceRecord;
 use sage_evidence::{derive_evidence_key, EvidenceChain, Freshness};
 
@@ -35,7 +35,7 @@ use crate::quorum::{VerifierBehavior, VerifierSet};
 use crate::service::{
     AttestationService, DeviceState, ManagedDevice, Outstanding, SealedEpoch, ServiceConfig,
 };
-use crate::shard::ShardIndex;
+use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 
 /// Snapshot magic: "SAGE snap".
@@ -799,6 +799,7 @@ pub(crate) fn restore<T: Transport>(
     // fleet is a different deployment, not a restart.
     let mut endpoint_pool: Vec<Option<Endpoint>> = endpoints.into_iter().map(Some).collect();
     let mut devices = Vec::with_capacity(decoded.devices.len());
+    let mut slot_of = FxHashMap::default();
     for rec in decoded.devices {
         let pos = endpoint_pool
             .iter()
@@ -825,6 +826,7 @@ pub(crate) fn restore<T: Transport>(
             (None, Some(_)) => return Err(SnapshotError::BadEvidence(rec.name.clone())),
             _ => None,
         };
+        slot_of.entry(rec.name).or_insert(devices.len() as u32);
         devices.push(ManagedDevice {
             node: ep.node,
             verifier: ep.verifier,
@@ -855,8 +857,15 @@ pub(crate) fn restore<T: Transport>(
     // node→slot routing index, the timer wheel, worker scratch — is
     // derived state: it is rebuilt from the durable per-device fields
     // rather than snapshotted, so the restored wheel is exactly the
-    // wheel a crash-free run would hold at `now`.
+    // wheel a crash-free run would hold at `now`. The name index (built
+    // above) and the newest epoch's Merkle tree are derived the same
+    // way.
     let index = ShardIndex::new(cfg.shards);
+    let newest_tree = decoded
+        .sealed_epochs
+        .last()
+        .map(|e| EpochTree::build(&e.leaves))
+        .unwrap_or_default();
     let worker_pool = (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers));
     let log = EventLog::restore_parts(
         decoded.events,
@@ -884,11 +893,13 @@ pub(crate) fn restore<T: Transport>(
         net,
         now: decoded.now,
         devices,
+        slot_of,
         log,
         next_node: decoded.next_node,
         registry: None,
         prefill_wall: core::time::Duration::ZERO,
         sealed_epochs: decoded.sealed_epochs,
+        newest_tree,
         next_seal_at: decoded.next_seal_at,
         timers: TimerWheel::new(),
         index,

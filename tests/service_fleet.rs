@@ -8,7 +8,7 @@
 use sage_repro::attacks::forge::ReplayTap;
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
 use sage_repro::crypto::{DhGroup, EntropySource};
-use sage_repro::evidence::{Freshness, FreshnessPolicy};
+use sage_repro::evidence::{verify_report, Freshness, FreshnessPolicy};
 use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::service::{
     AttestationService, DeviceState, EventKind, Fault, LinkProfile, Policy, ServiceConfig, SimNet,
@@ -400,6 +400,56 @@ fn freshness_decays_without_reattestation_and_reverses_on_a_pass() {
         4,
         "sealed-epoch counter"
     );
+}
+
+/// A device leaves and a new device rejoins under its name. Every
+/// by-name accessor must keep resolving to the first device admitted
+/// under that name — the slot a scan of the device list finds first —
+/// and `report_for` must hand out that device's leaf, the first of the
+/// two same-named leaves in the name-sorted epoch.
+#[test]
+fn rejoined_name_resolves_to_the_first_slot() {
+    let cfg = ServiceConfig {
+        reattest_interval: 50_000,
+        latency_budget: 200,
+        deadline_slack: 2_000,
+        calibration_runs: 5,
+        policy: Policy::default(),
+        epoch_interval: 40_000,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(5));
+    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 41), enclave(61));
+    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 42), enclave(62));
+    svc.run_for(30_000);
+    let first_key = svc.evidence_key_of("gpu-a").expect("gpu-a enrolled");
+
+    assert!(svc.leave("gpu-a"));
+    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 43), enclave(63));
+    svc.run_for(30_000); // seals the 40k epoch with both gpu-a slots in it
+
+    assert_eq!(svc.state_of("gpu-a"), Some(DeviceState::Revoked));
+    assert_eq!(svc.evidence_key_of("gpu-a"), Some(first_key));
+    let epoch = svc.sealed_epochs().last().expect("an epoch sealed");
+    let same_name: Vec<_> = epoch
+        .leaves
+        .iter()
+        .filter(|l| l.device == "gpu-a")
+        .collect();
+    assert_eq!(same_name.len(), 2, "the rejoined device has its own leaf");
+    assert_ne!(same_name[0].head, same_name[1].head);
+
+    let report = svc.report_for("gpu-a").expect("gpu-a is in the epoch");
+    assert_eq!(&report.leaf, same_name[0], "first leaf under the name");
+    assert_eq!(report.leaf.head, svc.evidence_of("gpu-a").unwrap().head());
+    assert!(
+        verify_report(&report, &epoch.root, &first_key, svc.now()).is_ok(),
+        "the first slot's report verifies under its own key"
+    );
+    // The untouched neighbour still resolves to its own, only slot.
+    let b = svc.report_for("gpu-b").expect("gpu-b is in the epoch");
+    let b_key = svc.evidence_key_of("gpu-b").unwrap();
+    assert!(verify_report(&b, &epoch.root, &b_key, svc.now()).is_ok());
 }
 
 /// Runs a `size`-device fleet with telemetry attached: every device

@@ -350,6 +350,36 @@ fn mid_epoch_crash_preserves_chain_heads_and_epoch_roots() {
     }
 }
 
+#[test]
+fn restored_service_mints_byte_identical_reports() {
+    // Three devices make an odd-width epoch tree (one leaf promoted). The
+    // restored service rebuilds its name index and newest-epoch tree
+    // from the snapshot; every report must come out the same bytes.
+    let names = ["gpu-a", "gpu-b", "gpu-c"];
+    let mut svc = evidence_fleet(53);
+    svc.join(member("gpu-c", 43), enclave(63));
+    svc.run_until(90_000);
+    assert_eq!(svc.sealed_epochs().len(), 1, "one seal before the crash");
+    let before: Vec<Vec<u8>> = names
+        .iter()
+        .map(|n| svc.report_for(n).expect("sealed with the device").encode())
+        .collect();
+
+    let snap = svc.snapshot();
+    let (net, eps) = svc.into_endpoints();
+    let restored =
+        AttestationService::restore(evidence_cfg(), DhGroup::test_group(), net, &snap, eps)
+            .expect("snapshot restores");
+    for (name, bytes) in names.iter().zip(&before) {
+        let report = restored.report_for(name).expect("restored report");
+        assert_eq!(
+            &report.encode(),
+            bytes,
+            "{name}: report changed across restore"
+        );
+    }
+}
+
 /// The recovery fleet replicated across an N = 4 verifier quorum with
 /// one replica turned Byzantine, so a crash has *quorum* state to lose:
 /// per-replica suspicion flags, dissent counts, rolling evidence-view
