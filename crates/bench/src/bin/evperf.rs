@@ -21,14 +21,16 @@
 //! the throughput figure fiction. Results go to `BENCH_evidence.json`
 //! for CI trend tracking.
 //!
-//! `--gate` re-runs the prove verb on a fleet 64x wider and fails unless
-//! the per-proof throughput there is at least half the base fleet's: a
-//! per-proof cost that grows with the fleet (an O(n) tree rebuild per
-//! proof scores ~0.02) breaks it. Both runs share the host, so the ratio
-//! does not depend on the runner.
+//! Every run then gates the prove verb: it re-runs it on a fleet 64x
+//! wider and fails unless the per-proof throughput there is at least
+//! 0.2x the base fleet's. A proof still walks and CMACs an O(log n)
+//! sibling path, so a correct build scores well under 1 (~0.6 at 64 ->
+//! 4096 devices); a per-proof cost that grows with the fleet (an O(n)
+//! tree rebuild per proof scores ~0.02) breaks it. Both runs share the
+//! host, so the ratio does not depend on the runner.
 //!
 //! Usage:
-//!   evperf [--devices N] [--records N] [--iters N] [--seed N] [--gate] [--out PATH]
+//!   evperf [--devices N] [--records N] [--iters N] [--seed N] [--out PATH]
 
 use std::time::Instant;
 
@@ -85,11 +87,11 @@ const POLICY: FreshnessPolicy = FreshnessPolicy {
     degraded_after: 120_000,
 };
 
-/// How much wider the `--gate` fleet is than the base fleet.
+/// How much wider the gate's fleet is than the base fleet.
 const GATE_WIDTH: usize = 64;
 /// The per-proof throughput the wide fleet must keep, relative to the
 /// base fleet.
-const GATE_MIN_RATIO: f64 = 0.5;
+const GATE_MIN_RATIO: f64 = 0.2;
 /// Alternating timed runs per side; the fastest of each is compared.
 const GATE_REPS: usize = 3;
 
@@ -169,7 +171,6 @@ fn main() {
     let mut records = 256u64;
     let mut iters = 200u64;
     let mut seed = 7u64;
-    let mut gate = false;
     let mut out_path = String::from("BENCH_evidence.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -188,12 +189,11 @@ fn main() {
             }
             "--iters" => iters = args.next().and_then(|v| v.parse().ok()).expect("--iters N"),
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--gate" => gate = true,
             "--out" => out_path = args.next().expect("--out PATH"),
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
-                    "usage: evperf [--devices N] [--records N] [--iters N] [--seed N] [--gate] [--out PATH]"
+                    "usage: evperf [--devices N] [--records N] [--iters N] [--seed N] [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -247,34 +247,27 @@ fn main() {
     // --- gate: the same prove verb on a fleet GATE_WIDTH times wider.
     // Both sides mint the same number of reports (the base fleet runs
     // GATE_WIDTH times the passes), alternating, best of GATE_REPS each.
-    let gate_json = if gate {
-        let wide_devices = devices * GATE_WIDTH;
-        let mut wide = new_chains(wide_devices, &mut rng);
-        grow(&mut wide, records, &mut rng);
-        let wide_leaves = leaves_of(&wide);
-        let (mut base_best, mut wide_best) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..GATE_REPS {
-            let base_passes = iters * GATE_WIDTH as u64;
-            base_best = base_best.min(prove_all(&chains, &leaves, base_passes, asserted_at).1);
-            wide_best = wide_best.min(prove_all(&wide, &wide_leaves, iters, asserted_at).1);
-        }
-        let wide_per_sec = (iters * wide_devices as u64) as f64 / wide_best.max(1e-9);
-        let ratio = base_best / wide_best.max(1e-9);
-        println!(
-            "gate: prove {wide_per_sec:.0}/s at {wide_devices} devices = {ratio:.2}x the {devices}-device rate (floor {GATE_MIN_RATIO})"
+    let wide_devices = devices * GATE_WIDTH;
+    let mut wide = new_chains(wide_devices, &mut rng);
+    grow(&mut wide, records, &mut rng);
+    let wide_leaves = leaves_of(&wide);
+    let (mut base_best, mut wide_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..GATE_REPS {
+        let base_passes = iters * GATE_WIDTH as u64;
+        base_best = base_best.min(prove_all(&chains, &leaves, base_passes, asserted_at).1);
+        wide_best = wide_best.min(prove_all(&wide, &wide_leaves, iters, asserted_at).1);
+    }
+    let wide_per_sec = (iters * wide_devices as u64) as f64 / wide_best.max(1e-9);
+    let ratio = base_best / wide_best.max(1e-9);
+    println!(
+        "gate: prove {wide_per_sec:.0}/s at {wide_devices} devices = {ratio:.2}x the {devices}-device rate (floor {GATE_MIN_RATIO})"
+    );
+    if ratio < GATE_MIN_RATIO {
+        eprintln!(
+            "evperf gate FAILED: per-proof throughput at {wide_devices} devices is {ratio:.2}x the {devices}-device rate, under {GATE_MIN_RATIO}x"
         );
-        if ratio < GATE_MIN_RATIO {
-            eprintln!(
-                "evperf gate FAILED: per-proof throughput at {wide_devices} devices is {ratio:.2}x the {devices}-device rate, under {GATE_MIN_RATIO}x"
-            );
-            std::process::exit(1);
-        }
-        format!(
-            "  \"gate\": {{\"devices\": {wide_devices}, \"prove_per_sec\": {wide_per_sec:.1}, \"ratio\": {ratio:.3}, \"min_ratio\": {GATE_MIN_RATIO}}},\n"
-        )
-    } else {
-        String::new()
-    };
+        std::process::exit(1);
+    }
 
     let report_bytes = reports[0].encode().len();
     let proof_steps = reports[0].proof.steps.len();
@@ -296,7 +289,9 @@ fn main() {
     out.push_str(&format!(
         "  \"verify\": {{\"total\": {verifies}, \"wall_seconds\": {verify_wall:.6}, \"per_sec\": {verifies_per_sec:.1}}},\n"
     ));
-    out.push_str(&gate_json);
+    out.push_str(&format!(
+        "  \"gate\": {{\"devices\": {wide_devices}, \"prove_per_sec\": {wide_per_sec:.1}, \"ratio\": {ratio:.3}, \"min_ratio\": {GATE_MIN_RATIO}}},\n"
+    ));
     out.push_str(&format!(
         "  \"report_bytes\": {report_bytes},\n  \"proof_steps\": {proof_steps}\n}}\n"
     ));

@@ -604,14 +604,12 @@ impl<T: Transport> AttestationService<T> {
     }
 
     fn find(&self, name: &str) -> Option<usize> {
-        let slot = *self.slot_of.get(name)? as usize;
-        // `node_mut` hands out the device's name mutably; a rename
-        // would leave this index pointing at the wrong device.
-        debug_assert_eq!(
-            self.devices[slot].node.member.name, name,
-            "device renamed behind the name index"
-        );
-        Some(slot)
+        // `node_mut` hands out the device's name mutably; a device
+        // renamed behind the index must not answer to its old name.
+        self.slot_of
+            .get(name)
+            .map(|&slot| slot as usize)
+            .filter(|&slot| self.devices[slot].node.member.name == name)
     }
 
     /// The lifecycle state of a device, if managed.

@@ -452,6 +452,27 @@ fn rejoined_name_resolves_to_the_first_slot() {
     assert!(verify_report(&b, &epoch.root, &b_key, svc.now()).is_ok());
 }
 
+/// A device renamed through `node_mut` after joining no longer answers
+/// to its old name: the by-name index checks the name it resolves to,
+/// so the old name finds nothing instead of the renamed device.
+#[test]
+fn renamed_device_does_not_answer_to_its_old_name() {
+    let mut svc = AttestationService::new(
+        ServiceConfig::default(),
+        DhGroup::test_group(),
+        perfect_net(6),
+    );
+    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 44), enclave(64));
+    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 45), enclave(65));
+    assert!(svc.state_of("gpu-a").is_some());
+
+    svc.node_mut("gpu-a").unwrap().member.name = "gpu-z".into();
+    assert_eq!(svc.state_of("gpu-a"), None);
+    assert!(svc.evidence_key_of("gpu-a").is_none());
+    assert!(svc.node_mut("gpu-a").is_none());
+    assert!(svc.state_of("gpu-b").is_some(), "neighbour unaffected");
+}
+
 /// Runs a `size`-device fleet with telemetry attached: every device
 /// enrolls and attests, device 0 is compromised with the §8 replay tap
 /// and driven into quarantine, then every third honest device leaves.
