@@ -14,7 +14,7 @@ fn main() {
 mod gated {
     use criterion::{criterion_group, Criterion, Throughput};
 
-    use sage_crypto::{cmac_aes128, sha256, AesCtr, BigUint, DhGroup};
+    use sage_crypto::{cmac_aes128, sha256, test_entropy, AesCtr, BigUint, DhGroup};
     use sage_gpu_sim::{Device, DeviceConfig};
     use sage_isa::{encode, Instruction, Opcode, Operand, Program, Reg};
     use sage_vf::{build_vf, expected_checksum, VfParams};
@@ -37,15 +37,7 @@ mod gated {
 
         c.bench_function("dh/test-group-exchange", |b| {
             let group = DhGroup::test_group();
-            let mut e = {
-                let mut s = 7u8;
-                move |buf: &mut [u8]| {
-                    for x in buf.iter_mut() {
-                        s = s.wrapping_mul(181).wrapping_add(101);
-                        *x = s;
-                    }
-                }
-            };
+            let mut e = test_entropy(7);
             let alice = group.generate(&mut e);
             let bob = group.generate(&mut e);
             b.iter(|| group.shared_secret(&alice, &bob.public))

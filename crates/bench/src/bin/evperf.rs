@@ -34,6 +34,7 @@
 
 use std::time::Instant;
 
+use sage_bench::UsageError;
 use sage_evidence::merkle::{epoch_root, EpochTree};
 use sage_evidence::{
     verify_report, DeviceReport, EpochLeaf, EvidenceChain, EvidencePath, EvidencePayload,
@@ -172,33 +173,20 @@ fn main() {
     let mut iters = 200u64;
     let mut seed = 7u64;
     let mut out_path = String::from("BENCH_evidence.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => {
-                devices = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
+    sage_bench::parse_args(
+        "evperf [--devices N] [--records N] [--iters N] [--seed N] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--devices" => devices = a.value(flag)?,
+                "--records" => records = a.value(flag)?,
+                "--iters" => iters = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--records" => {
-                records = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--records N")
-            }
-            "--iters" => iters = args.next().and_then(|v| v.parse().ok()).expect("--iters N"),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: evperf [--devices N] [--records N] [--iters N] [--seed N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(
         devices > 0 && records > 0 && iters > 0,
         "need at least one device, record and iteration"

@@ -34,23 +34,14 @@
 use std::time::Instant;
 
 use sage::{Calibration, Verifier};
-use sage_crypto::{BigUint, DhGroup, Montgomery};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, BigUint, DhGroup, Montgomery};
 use sage_gpu_sim::DeviceConfig;
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::{
     build_vf, expected_checksum, expected_checksum_unpooled, expected_checksum_with_pool,
     BankConfig, ReplayPool, VfParams,
 };
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 struct Xorshift(u64);
 
@@ -103,41 +94,22 @@ fn main() {
     let mut seed = 7u64;
     let mut gate = true;
     let mut out_path = String::from("BENCH_fastpath.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N")
+    sage_bench::parse_args(
+        "fastpath [--rounds N] [--iterations N] [--reps N] [--calib-runs N] [--seed N] [--no-gate] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--rounds" => rounds = a.value(flag)?,
+                "--iterations" => iterations = a.value(flag)?,
+                "--reps" => reps = a.value(flag)?,
+                "--calib-runs" => calib_runs = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--no-gate" => gate = false,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--iterations" => {
-                iterations = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations N")
-            }
-            "--reps" => reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--calib-runs" => {
-                calib_runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--calib-runs N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--no-gate" => gate = false,
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: fastpath [--rounds N] [--iterations N] [--reps N] \
-                     [--calib-runs N] [--seed N] [--no-gate] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(rounds >= 2 && reps >= 1 && calib_runs >= 2);
 
     // ---- 1. Bank-hit vs replay-online rounds (SIM-LARGE shape) ----
@@ -149,7 +121,7 @@ fn main() {
     );
 
     let platform = SgxPlatform::new([7u8; 16]);
-    let enclave = platform.launch(b"fastpath-verifier", &mut entropy(seed as u8 | 1));
+    let enclave = platform.launch(b"fastpath-verifier", &mut test_entropy(seed as u8 | 1));
     let mut verifier = Verifier::new(enclave, build.clone(), DhGroup::test_group());
     // Any calibration accepts our synthetic measured=1 responses; the
     // timing check itself is on both arms equally.

@@ -29,62 +29,11 @@
 
 use std::time::Instant;
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
-use sage_crypto::DhGroup;
-use sage_gpu_sim::{Device, DeviceConfig};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
 use sage_service::{AttestationService, DeviceState, LinkProfile, ServiceConfig, SimNet};
 use sage_sgx_sim::SgxPlatform;
-use sage_vf::VfParams;
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
-    let agent_seed = (seed as u8)
-        .wrapping_add(index as u8)
-        .wrapping_mul(3)
-        .wrapping_add((index >> 8) as u8)
-        | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:05}");
-    m
-}
-
-/// Peak resident set size in bytes (`VmHWM` from /proc/self/status);
-/// 0 where the proc filesystem is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
 
 /// The core-scaled throughput floor: the 100k rounds/sec target applies
 /// in full from 8 cores up and shrinks linearly below that.
@@ -93,9 +42,7 @@ fn required_rounds_per_sec(cores: usize) -> f64 {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = sage_bench::cores();
     let mut devices = 10_000usize;
     let mut rounds = 3u64;
     let mut seed = 7u64;
@@ -105,45 +52,22 @@ fn main() {
     let mut workers = cores.saturating_sub(1);
     let mut gate = false;
     let mut out_path = String::from("BENCH_fleet.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => {
-                devices = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
+    sage_bench::parse_args(
+        "fleetperf [--devices N] [--rounds N] [--seed N] [--shards N] [--workers N] [--gate] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--devices" => devices = a.value(flag)?,
+                "--rounds" => rounds = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--shards" => shards = a.value(flag)?,
+                "--workers" => workers = a.value(flag)?,
+                "--gate" => gate = true,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards N")
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N")
-            }
-            "--gate" => gate = true,
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: fleetperf [--devices N] [--rounds N] [--seed N] [--shards N] [--workers N] [--gate] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(
         devices > 0 && rounds > 0,
         "need at least one device and round"
@@ -189,8 +113,16 @@ fn main() {
             .wrapping_mul(5)
             .wrapping_add((i >> 8) as u8)
             | 1;
-        let enclave = platform.launch(b"fleet-verifier", &mut entropy(enclave_seed));
-        svc.join(member(i, seed), enclave);
+        let agent_seed = (seed as u8)
+            .wrapping_add(i as u8)
+            .wrapping_mul(3)
+            .wrapping_add((i >> 8) as u8)
+            | 1;
+        let enclave = platform.launch(b"fleet-verifier", &mut test_entropy(enclave_seed));
+        svc.join(
+            FleetMember::modeled(format!("gpu-{i:05}"), agent_seed),
+            enclave,
+        );
         if (i + 1) % 2_000 == 0 {
             eprintln!("  enrolled {}/{devices}", i + 1);
         }
@@ -218,7 +150,7 @@ fn main() {
         .log()
         .latency_percentiles()
         .expect("at least one passed round");
-    let rss = peak_rss_bytes();
+    let rss = sage_bench::peak_rss_bytes();
     let events_dropped = svc.log().events_dropped();
     let required = required_rounds_per_sec(cores);
     let pass = rounds_per_sec >= required;

@@ -28,59 +28,14 @@
 
 use std::time::{Duration, Instant};
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
-use sage_crypto::DhGroup;
-use sage_gpu_sim::{Device, DeviceConfig};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
 use sage_service::{
     AttestationService, Bind, ChaosProfile, ChaosProxy, ClockDriver, DeviceLink, DeviceLinkConfig,
     DeviceState, LinkConfig, Pump, ServiceConfig, TcpTransport,
 };
 use sage_sgx_sim::SgxPlatform;
-use sage_vf::VfParams;
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:05}");
-    m
-}
-
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
 
 /// The core-scaled throughput floor: a real-socket fleet must sustain
 /// 200 sessions/sec on 8 cores and up, linearly less on smaller hosts.
@@ -100,46 +55,36 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = sage_bench::cores();
     let mut honest = 7usize;
     let mut rounds = 5u64;
     let mut seed = 7u64;
     let mut regime = String::from("clean");
     let mut gate = false;
     let mut out_path = String::from("BENCH_net.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => {
-                honest = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
+    sage_bench::parse_args(
+        "netperf [--devices N] [--rounds N] [--seed N] [--regime clean|torn|severing] [--gate] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--devices" => honest = a.value(flag)?,
+                "--rounds" => rounds = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--regime" => regime = a.value(flag)?,
+                "--gate" => gate = true,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--regime" => regime = args.next().expect("--regime clean|torn|severing"),
-            "--gate" => gate = true,
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: netperf [--devices N] [--rounds N] [--seed N] [--regime clean|torn|severing] [--gate] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(honest > 0 && rounds > 0);
     let devices = honest + 1; // +1 mid-life cheater
     let cheater = format!("gpu-{:05}", devices - 1);
+    // The device side and the verifier side each build the same member.
+    let member = |i: usize| {
+        let agent_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(3) | 1;
+        FleetMember::modeled(format!("gpu-{i:05}"), agent_seed)
+    };
 
     let dir = std::env::temp_dir().join(format!("sage-netperf-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir scratch");
@@ -194,7 +139,7 @@ fn main() {
     let links: Vec<DeviceLink> = (0..devices)
         .map(|i| {
             DeviceLink::spawn(
-                member(i, seed),
+                member(i),
                 DhGroup::test_group(),
                 DeviceLinkConfig {
                     connect: dial.clone(),
@@ -220,8 +165,8 @@ fn main() {
     let platform = SgxPlatform::new([7u8; 16]);
     for (name, stream) in pending {
         let index: usize = name[4..].parse().expect("gpu-NNNNN");
-        let enclave = platform.launch(b"net-verifier", &mut entropy((seed as u8) | 1));
-        svc.join_remote(member(index, seed), enclave, stream);
+        let enclave = platform.launch(b"net-verifier", &mut test_entropy((seed as u8) | 1));
+        svc.join_remote(member(index), enclave, stream);
     }
     let enroll_wall = t0.elapsed().as_secs_f64();
     svc.transport().take_rtt_samples(); // discard calibration-era samples
@@ -321,7 +266,7 @@ fn main() {
     let resume_pass = resume_success_rate >= 0.99
         && (severs_wanted == 0 || stats.reconnects >= severs_wanted * devices as u64);
     let pass = throughput_pass && resume_pass;
-    let rss = peak_rss_bytes();
+    let rss = sage_bench::peak_rss_bytes();
 
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"host\": {},\n", sage_bench::host_stanza()));

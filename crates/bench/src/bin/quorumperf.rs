@@ -29,44 +29,21 @@
 
 use std::time::Instant;
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
 use sage_attacks::forge::ReplayTap;
-use sage_crypto::DhGroup;
-use sage_gpu_sim::{Device, DeviceConfig};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
+use sage_gpu_sim::DeviceConfig;
 use sage_service::{
     covers, detect_probability_per_mille, epochs_to_detect, AttestationService, DeviceState,
     EventKind, LinkProfile, QuorumConfig, SamplingConfig, ServiceConfig, SimNet,
 };
 use sage_sgx_sim::SgxPlatform;
-use sage_vf::VfParams;
 
 /// Virtual ticks per sampling epoch.
 const EPOCH: u64 = 60_000;
 /// The fleet settles (enroll + first rounds) before the timed window.
 const SETTLE: u64 = 45_000;
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session = GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7)
-        .expect("install");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:02}");
-    m
-}
 
 struct RunStats {
     /// Wall seconds over the steady-state window (settle → horizon).
@@ -121,8 +98,10 @@ fn run_fleet(
     let platform = SgxPlatform::new([7u8; 16]);
     for i in 0..devices {
         let enclave_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(5) | 1;
-        let enclave = platform.launch(b"quorum-verifier", &mut entropy(enclave_seed));
-        svc.join(member(i, seed), enclave);
+        let agent_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(3) | 1;
+        let enclave = platform.launch(b"quorum-verifier", &mut test_entropy(enclave_seed));
+        let member = FleetMember::tiny(format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), agent_seed);
+        svc.join(member, enclave);
     }
     svc.run_until(SETTLE);
 
@@ -230,46 +209,23 @@ fn main() {
     let mut reps = 5u32;
     let mut gate = false;
     let mut out_path = String::from("BENCH_quorum.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => {
-                devices = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
+    sage_bench::parse_args(
+        "quorumperf [--devices N] [--horizon TICKS] [--seed N] [--coverage PER_MILLE] [--reps N] [--gate] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--devices" => devices = a.value(flag)?,
+                "--horizon" => horizon = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--coverage" => coverage = a.value(flag)?,
+                "--reps" => reps = a.value(flag)?,
+                "--gate" => gate = true,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--horizon" => {
-                horizon = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--horizon TICKS")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--coverage" => {
-                coverage = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--coverage PER_MILLE")
-            }
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|r| *r >= 1)
-                    .expect("--reps N (>= 1)")
-            }
-            "--gate" => gate = true,
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: quorumperf [--devices N] [--horizon TICKS] [--seed N] [--coverage PER_MILLE] [--reps N] [--gate] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
+    assert!(reps >= 1, "--reps must be at least 1");
     assert!(devices >= 2, "need a fleet plus one cheater slot");
     assert!((1..1000).contains(&coverage), "coverage in 1..=999");
     assert!(horizon > SETTLE + 2 * EPOCH, "horizon too short to settle");

@@ -41,6 +41,7 @@
 use std::time::Instant;
 
 use sage::GpuSession;
+use sage_bench::UsageError;
 use sage_gpu_sim::{Device, DeviceConfig, ExecMode, LaunchParams};
 use sage_vf::{SmcMode, VfParams};
 
@@ -271,38 +272,20 @@ fn main() {
     let mut repeats = 5u32;
     let mut min_speedup = 0.0f64;
     let mut out_path = String::from("BENCH_sim.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sequential" => sequential_only = true,
-            "--iterations" => {
-                iterations = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations N");
+    sage_bench::parse_args(
+        "simperf [--sequential] [--iterations N] [--repeats N] [--out PATH] [--min-speedup X]",
+        |flag, a| {
+            match flag {
+                "--sequential" => sequential_only = true,
+                "--iterations" => iterations = a.value(flag)?,
+                "--repeats" => repeats = a.value(flag)?,
+                "--min-speedup" => min_speedup = a.value(flag)?,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repeats N");
-            }
-            "--min-speedup" => {
-                min_speedup = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-speedup X");
-            }
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: simperf [--sequential] [--iterations N] [--repeats N] [--out PATH] [--min-speedup X]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
 
     let mut cfg = DeviceConfig::sim_large();
     // Give the harness device room for a checksum region larger than the

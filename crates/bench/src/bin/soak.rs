@@ -29,18 +29,16 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
-use sage_crypto::DhGroup;
-use sage_gpu_sim::{ChaosSpec, Device, DeviceConfig, FaultPlan};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
+use sage_gpu_sim::{ChaosSpec, DeviceConfig, FaultPlan};
 use sage_service::{
     AttestationService, DeviceState, EventKind, Fault, LinkProfile, ServiceConfig, SimNet,
     VERIFIER_NODE,
 };
 use sage_sgx_sim::SgxPlatform;
-use sage_telemetry::{MetricValue, Registry};
-use sage_vf::VfParams;
+use sage_telemetry::Registry;
 
 /// Virtual ticks the fleet gets to settle to `Trusted` before chaos.
 const SETTLE_TICKS: u64 = 45_000;
@@ -55,47 +53,6 @@ fn soak_cfg() -> ServiceConfig {
     let mut cfg = ServiceConfig::default();
     cfg.policy.restart_on_timeout = true;
     cfg
-}
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session = GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7)
-        .expect("install");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:02}");
-    m
-}
-
-fn build_fleet(seed: u64, devices: usize) -> AttestationService<SimNet> {
-    let net = SimNet::new(
-        seed,
-        LinkProfile {
-            latency: 100,
-            jitter: 25,
-            drop_per_mille: 5,
-            dup_per_mille: 0,
-        },
-    );
-    let mut svc = AttestationService::new(soak_cfg(), DhGroup::test_group(), net);
-    let platform = SgxPlatform::new([7u8; 16]);
-    for i in 0..devices {
-        let enclave_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(5) | 1;
-        let enclave = platform.launch(b"soak-verifier", &mut entropy(enclave_seed));
-        svc.join(member(i, seed), enclave);
-    }
-    svc
 }
 
 /// Installs a seeded chaos campaign on every device: transient challenge
@@ -155,18 +112,6 @@ struct SoakRun {
     reg: Registry,
 }
 
-/// The exported total of every series named `name`, across label sets.
-fn counter_total(reg: &Registry, name: &str) -> u64 {
-    reg.collect()
-        .iter()
-        .filter(|(n, _, _)| n == name)
-        .map(|(_, _, v)| match v {
-            MetricValue::Counter(c) => *c,
-            _ => panic!("{name} is not a counter"),
-        })
-        .sum()
-}
-
 /// Prometheus export with the `vf_bank_*` family dropped. Bank stock is
 /// ephemeral by design — it lives outside the snapshot and is recomputed
 /// after a restore — so its effectiveness counters legitimately restart
@@ -183,7 +128,24 @@ fn durable_prom(reg: &Registry) -> String {
 /// the false-accept oracle watching every verdict; optionally crash and
 /// restore the control plane at mid-schedule.
 fn run_soak(seed: u64, devices: usize, ticks: u64, crash: bool) -> SoakRun {
-    let mut svc = build_fleet(seed, devices);
+    let net = SimNet::new(
+        seed,
+        LinkProfile {
+            latency: 100,
+            jitter: 25,
+            drop_per_mille: 5,
+            dup_per_mille: 0,
+        },
+    );
+    let mut svc = AttestationService::new(soak_cfg(), DhGroup::test_group(), net);
+    let platform = SgxPlatform::new([7u8; 16]);
+    for i in 0..devices {
+        let agent_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(3) | 1;
+        let enclave_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(5) | 1;
+        let enclave = platform.launch(b"soak-verifier", &mut test_entropy(enclave_seed));
+        let member = FleetMember::tiny(format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), agent_seed);
+        svc.join(member, enclave);
+    }
     svc.run_for(SETTLE_TICKS);
     for i in 0..devices {
         let name = format!("gpu-{i:02}");
@@ -301,32 +263,26 @@ fn main() {
     let mut ticks = 800_000u64;
     let mut devices = 3usize;
     let mut out_path = String::from("BENCH_soak.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .expect("--seeds A,B,C")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("seed must be a u64"))
-                    .collect();
+    sage_bench::parse_args(
+        "soak [--seeds A,B,C] [--ticks N] [--devices N] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--seeds" => {
+                    let list: String = a.value(flag)?;
+                    seeds = list
+                        .split(',')
+                        .map(|s| s.trim().parse())
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| UsageError(format!("{flag}: cannot parse {list:?}")))?;
+                }
+                "--ticks" => ticks = a.value(flag)?,
+                "--devices" => devices = a.value(flag)?,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--ticks" => ticks = args.next().and_then(|v| v.parse().ok()).expect("--ticks N"),
-            "--devices" => {
-                devices = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
-            }
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!("usage: soak [--seeds A,B,C] [--ticks N] [--devices N] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(!seeds.is_empty() && devices > 0 && ticks >= 100_000);
 
     eprintln!(
@@ -381,7 +337,7 @@ fn main() {
             "seed {seed}: telemetry exports diverged across crash-restore"
         );
         assert_eq!(
-            counter_total(&baseline.reg, "service_rounds_passed_total"),
+            sage_bench::counter_total(&baseline.reg, "service_rounds_passed_total"),
             c.rounds_passed,
             "seed {seed}: telemetry rounds-passed diverged from the event log"
         );
@@ -419,11 +375,7 @@ fn main() {
     std::fs::write(&out_path, out).expect("write BENCH_soak.json");
     // The last seed's uninterrupted-universe registry in scrape form,
     // next to the JSON artifact.
-    let prom_path = match out_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.prom"),
-        None => format!("{out_path}.prom"),
-    };
-    std::fs::write(&prom_path, last_prom).expect("write Prometheus export");
+    let prom_path = sage_bench::write_prom_sibling(&out_path, &last_prom);
     println!(
         "soak: {} seed(s) clean — zero false accepts, full reconvergence, crash-restart byte-identical (telemetry included)",
         seeds.len()

@@ -30,50 +30,15 @@
 
 use std::time::Instant;
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
-use sage_crypto::DhGroup;
-use sage_gpu_sim::{Device, DeviceConfig};
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
+use sage_gpu_sim::DeviceConfig;
 use sage_service::{
     AttestationService, DeviceState, LinkProfile, ServiceConfig, SimNet, SplitMix64, TimerWheel,
 };
 use sage_sgx_sim::SgxPlatform;
-use sage_telemetry::{MetricValue, Registry};
-use sage_vf::VfParams;
-
-/// The exported total of every series named `name`, across label sets.
-fn counter_total(reg: &Registry, name: &str) -> u64 {
-    reg.collect()
-        .iter()
-        .filter(|(n, _, _)| n == name)
-        .map(|(_, _, v)| match v {
-            MetricValue::Counter(c) => *c,
-            _ => panic!("{name} is not a counter"),
-        })
-        .sum()
-}
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session = GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7)
-        .expect("install");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:02}");
-    m
-}
+use sage_telemetry::Registry;
 
 /// Micro-arm: the cost of popping the earliest of ~1k queued timers,
 /// timer wheel against the linear scan-for-min it replaced (the old
@@ -141,30 +106,19 @@ fn main() {
     let mut rounds = 10u64;
     let mut seed = 7u64;
     let mut out_path = String::from("BENCH_svc.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => {
-                devices = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--devices N")
+    sage_bench::parse_args(
+        "svcperf [--devices N] [--rounds N] [--seed N] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--devices" => devices = a.value(flag)?,
+                "--rounds" => rounds = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!("usage: svcperf [--devices N] [--rounds N] [--seed N] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(
         devices > 0 && rounds > 0,
         "need at least one device and round"
@@ -199,8 +153,12 @@ fn main() {
     let t0 = Instant::now();
     for i in 0..devices {
         let enclave_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(5) | 1;
-        let enclave = platform.launch(b"svcperf-verifier", &mut entropy(enclave_seed));
-        svc.join(member(i, seed), enclave);
+        let agent_seed = (seed as u8).wrapping_add(i as u8).wrapping_mul(3) | 1;
+        let enclave = platform.launch(b"svcperf-verifier", &mut test_entropy(enclave_seed));
+        svc.join(
+            FleetMember::tiny(format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), agent_seed),
+            enclave,
+        );
     }
     // The join loop above covers prefill + calibrate + SAKE; the pooled
     // prefill accounted its own wall inside the service, so enrollment
@@ -239,12 +197,12 @@ fn main() {
     // books — an end-to-end consistency check every bench run gets for
     // free.
     assert_eq!(
-        counter_total(&reg, "service_rounds_passed_total"),
+        sage_bench::counter_total(&reg, "service_rounds_passed_total"),
         total_rounds,
         "telemetry rounds-passed diverged from the event log"
     );
     assert_eq!(
-        counter_total(&reg, "service_devices_joined_total"),
+        sage_bench::counter_total(&reg, "service_devices_joined_total"),
         devices as u64,
         "telemetry join count diverged from the roster"
     );
@@ -292,11 +250,7 @@ fn main() {
     std::fs::write(&out_path, out).expect("write BENCH_svc.json");
 
     // The same registry in scrape form, next to the JSON artifact.
-    let prom_path = match out_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.prom"),
-        None => format!("{out_path}.prom"),
-    };
-    std::fs::write(&prom_path, reg.to_prometheus()).expect("write Prometheus export");
+    let prom_path = sage_bench::write_prom_sibling(&out_path, &reg.to_prometheus());
 
     println!(
         "{devices} devices, {total_rounds} rounds in {steady_wall:.3}s  ({rounds_per_sec:.1} rounds/s, {virtual_ticks} virtual ticks)"

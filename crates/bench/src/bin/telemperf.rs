@@ -41,27 +41,18 @@
 use std::time::Instant;
 
 use sage::{Calibration, Verifier};
-use sage_crypto::DhGroup;
+use sage_bench::UsageError;
+use sage_crypto::{test_entropy, DhGroup};
 use sage_sgx_sim::SgxPlatform;
-use sage_telemetry::{MetricValue, Registry};
+use sage_telemetry::Registry;
 use sage_vf::{build_vf, codegen::VfBuild, BankConfig, VfParams};
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 /// A fast-path verifier over `build`: synthetic calibration (the
 /// timing verdict itself runs on both arms equally) and a
 /// zero-worker bank sized to hold one full repetition.
 fn fastpath_verifier(build: &VfBuild, rounds: usize, seed: u64) -> Verifier {
     let platform = SgxPlatform::new([7u8; 16]);
-    let enclave = platform.launch(b"telemperf-verifier", &mut entropy(seed as u8 | 1));
+    let enclave = platform.launch(b"telemperf-verifier", &mut test_entropy(seed as u8 | 1));
     let mut v = Verifier::new(enclave, build.clone(), DhGroup::test_group());
     v.set_calibration(Calibration::from_samples(&[1_000]));
     v.enable_fast_path(BankConfig {
@@ -85,17 +76,6 @@ fn timed_rounds(v: &mut Verifier, rounds: usize) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-fn counter_value(reg: &Registry, name: &str) -> u64 {
-    reg.collect()
-        .iter()
-        .filter(|(n, _, _)| n == name)
-        .map(|(_, _, v)| match v {
-            MetricValue::Counter(c) => *c,
-            _ => panic!("{name} is not a counter"),
-        })
-        .sum()
-}
-
 fn main() {
     let mut rounds = 128usize;
     let mut reps = 21usize;
@@ -105,47 +85,23 @@ fn main() {
     let mut max_ratio = 1.03f64;
     let mut gate = true;
     let mut out_path = String::from("BENCH_telemetry.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N")
+    sage_bench::parse_args(
+        "telemperf [--rounds N] [--reps N] [--blocks N] [--iterations N] [--seed N] [--max-ratio R] [--no-gate] [--out PATH]",
+        |flag, a| {
+            match flag {
+                "--rounds" => rounds = a.value(flag)?,
+                "--reps" => reps = a.value(flag)?,
+                "--blocks" => blocks = a.value(flag)?,
+                "--iterations" => iterations = a.value(flag)?,
+                "--seed" => seed = a.value(flag)?,
+                "--max-ratio" => max_ratio = a.value(flag)?,
+                "--no-gate" => gate = false,
+                "--out" => out_path = a.value(flag)?,
+                _ => return Err(UsageError::unknown(flag)),
             }
-            "--reps" => reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--blocks" => {
-                blocks = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--blocks N")
-            }
-            "--iterations" => {
-                iterations = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations N")
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--max-ratio" => {
-                max_ratio = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-ratio R")
-            }
-            "--no-gate" => gate = false,
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: telemperf [--rounds N] [--reps N] [--blocks N] \
-                     [--iterations N] [--seed N] [--max-ratio R] [--no-gate] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+            Ok(())
+        },
+    );
     assert!(rounds >= 16 && reps >= 2 && max_ratio > 1.0);
 
     let mut params = VfParams::test_tiny();
@@ -190,10 +146,10 @@ fn main() {
     // are *registered* instruments — each pair's bank replaces the last
     // one's series — so hits are totalled verifier-side above.)
     let total = (reps * rounds) as u64;
-    let accepts = counter_value(&reg, "verifier_accepts_total");
+    let accepts = sage_bench::counter_total(&reg, "verifier_accepts_total");
     assert_eq!(accepts, total, "registry accepts diverged from harness");
     assert_eq!(hits, total, "bank hits diverged from harness rounds");
-    assert_eq!(counter_value(&reg, "verifier_rejects_total"), 0);
+    assert_eq!(sage_bench::counter_total(&reg, "verifier_rejects_total"), 0);
 
     let base_ns = base_min / rounds as f64 * 1e9;
     let instr_ns = instr_min / rounds as f64 * 1e9;

@@ -3,7 +3,7 @@
 //!
 //! Binaries (run with `cargo run --release -p sage-bench --bin <name>`):
 //!
-//! | binary        | reproduces                                        |
+//! | binary        | reproduces or measures                            |
 //! |---------------|---------------------------------------------------|
 //! | `table1`      | Table 1 — checksum implementations (exp. 1–4 + the CCTL extension) |
 //! | `table2`      | Table 2 — user-kernel execution under SAGE (§7.4) |
@@ -11,6 +11,19 @@
 //! | `robustness`  | §7.2 — detection threshold and adversarial NOP    |
 //! | `inclusion`   | §7.3 — memory-region inclusion probability        |
 //! | `trng_eval`   | §6.6 — TRNG statistics (ENT + NIST subset)        |
+//! | `ablation`    | DESIGN.md §4 — what each VF design choice buys    |
+//! | `simperf`     | simulator speed, parallel vs sequential (`BENCH_sim.json`) |
+//! | `fastpath`    | verifier fast path: bank hits, modpow, refill (`BENCH_fastpath.json`) |
+//! | `telemperf`   | telemetry overhead on the bank-hit round (`BENCH_telemetry.json`) |
+//! | `evperf`      | evidence append, seal, prove, verify (`BENCH_evidence.json`) |
+//! | `svcperf`     | control plane over cycle-accurate devices (`BENCH_svc.json`) |
+//! | `fleetperf`   | control plane at 10k modeled devices (`BENCH_fleet.json`) |
+//! | `netperf`     | socket transport, sever and resume (`BENCH_net.json`) |
+//! | `quorumperf`  | verifier quorums and spot-check sampling (`BENCH_quorum.json`) |
+//! | `soak`        | chaos soak with crash-restore (`BENCH_soak.json`) |
+//!
+//! The harnesses share this crate's command-line parser
+//! ([`parse_args`]), RSS probe and telemetry helpers.
 //!
 //! Scale note: the paper runs 108 SMs × 100 000 iterations on silicon;
 //! the simulator runs a 2-SM device at proportionally reduced iteration
@@ -23,6 +36,7 @@ use std::time::Instant;
 use sage::GpuSession;
 use sage_gpu_sim::{Device, DeviceConfig, LaunchParams, StallReason};
 use sage_sgx_sim::EpcModel;
+use sage_telemetry::{MetricValue, Registry};
 use sage_vf::{expected_checksum, SmcMode, VfParams};
 
 /// The benchmark device: an Ampere-like 2-SM device with the A100 data
@@ -226,14 +240,17 @@ pub fn measure(
     })
 }
 
+/// The cores this process may run on (1 when unknown).
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The shared `host` stanza every `BENCH_*.json` artifact embeds, so a
 /// recorded number can always be traced to the machine that produced it
 /// (wall-clock figures are meaningless across hosts otherwise). Returns
 /// a JSON object: `{"cores": N, "rustc": "rustc 1.x.y (…)"}`.
 pub fn host_stanza() -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     let rustc = std::process::Command::new("rustc")
         .arg("--version")
         .output()
@@ -245,6 +262,106 @@ pub fn host_stanza() -> String {
         "{{\"cores\": {cores}, \"rustc\": \"{}\"}}",
         rustc.escape_default()
     )
+}
+
+/// A malformed bench command line: what was wrong, printed above the
+/// usage line.
+#[derive(Debug, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
+impl UsageError {
+    /// The error for a flag the binary does not know.
+    pub fn unknown(flag: &str) -> UsageError {
+        UsageError(format!("unknown flag {flag}"))
+    }
+}
+
+/// The rest of a bench command line, handed to the per-flag callback of
+/// [`parse_flags`] so a flag can take its value.
+pub struct Flags {
+    args: std::vec::IntoIter<String>,
+}
+
+impl Flags {
+    /// Takes and parses the value that follows `flag`.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, UsageError> {
+        let v = self
+            .args
+            .next()
+            .ok_or_else(|| UsageError(format!("{flag} needs a value")))?;
+        v.parse()
+            .map_err(|_| UsageError(format!("{flag}: cannot parse {v:?}")))
+    }
+}
+
+/// Walks `args` flag by flag. `on_flag` sets the flag's option, taking
+/// any value through [`Flags::value`], and answers a flag it does not
+/// know with [`UsageError::unknown`].
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    mut on_flag: impl FnMut(&str, &mut Flags) -> Result<(), UsageError>,
+) -> Result<(), UsageError> {
+    let mut flags = Flags {
+        args: args.into_iter().collect::<Vec<_>>().into_iter(),
+    };
+    while let Some(flag) = flags.args.next() {
+        on_flag(&flag, &mut flags)?;
+    }
+    Ok(())
+}
+
+/// [`parse_flags`] over the process arguments. A malformed command line
+/// prints the error and `usage: {usage}` to stderr and exits with
+/// status 2.
+pub fn parse_args(usage: &str, on_flag: impl FnMut(&str, &mut Flags) -> Result<(), UsageError>) {
+    if let Err(UsageError(msg)) = parse_flags(std::env::args().skip(1), on_flag) {
+        eprintln!("{msg}");
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    }
+}
+
+/// Peak resident set size in bytes (`VmHWM` from /proc/self/status);
+/// 0 where the proc filesystem is unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
+        .map_or(0, |kb| kb * 1024)
+}
+
+/// The exported total of every series named `name`, across label sets.
+pub fn counter_total(reg: &Registry, name: &str) -> u64 {
+    reg.collect()
+        .iter()
+        .filter(|(n, _, _)| n == name)
+        .map(|(_, _, v)| match v {
+            MetricValue::Counter(c) => *c,
+            _ => panic!("{name} is not a counter"),
+        })
+        .sum()
+}
+
+/// Writes `prometheus` (a registry in scrape form) next to the JSON
+/// artifact at `json_path`: `BENCH_x.json` gets `BENCH_x.prom`. Returns
+/// the path written.
+pub fn write_prom_sibling(json_path: &str, prometheus: &str) -> String {
+    let prom_path = match json_path.strip_suffix(".json") {
+        Some(stem) => format!("{stem}.prom"),
+        None => format!("{json_path}.prom"),
+    };
+    std::fs::write(&prom_path, prometheus).expect("write Prometheus export");
+    prom_path
 }
 
 /// Renders a list of `(row label, values per column)` as an aligned text
@@ -280,6 +397,41 @@ pub fn print_table(title: &str, columns: &[String], rows: &[(String, Vec<String>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<(u32, bool), UsageError> {
+        let (mut n, mut gate) = (0u32, false);
+        parse_flags(args.iter().map(|a| a.to_string()), |flag, a| {
+            match flag {
+                "--n" => n = a.value(flag)?,
+                "--gate" => gate = true,
+                _ => return Err(UsageError::unknown(flag)),
+            }
+            Ok(())
+        })?;
+        Ok((n, gate))
+    }
+
+    #[test]
+    fn flag_parser_takes_values_and_switches() {
+        assert_eq!(parse(&[]), Ok((0, false)));
+        assert_eq!(parse(&["--n", "7", "--gate"]), Ok((7, true)));
+    }
+
+    #[test]
+    fn flag_parser_rejects_malformed_command_lines() {
+        assert_eq!(
+            parse(&["--n", "7", "--bogus"]),
+            Err(UsageError("unknown flag --bogus".into()))
+        );
+        assert_eq!(
+            parse(&["--gate", "--n"]),
+            Err(UsageError("--n needs a value".into()))
+        );
+        assert_eq!(
+            parse(&["--n", "seven"]),
+            Err(UsageError("--n: cannot parse \"seven\"".into()))
+        );
+    }
 
     #[test]
     fn presets_are_valid() {

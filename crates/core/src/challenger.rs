@@ -97,20 +97,10 @@ impl Challenger {
 mod tests {
     use super::*;
     use crate::{agent::DeviceAgent, GpuSession};
-    use sage_crypto::DhGroup;
+    use sage_crypto::{test_entropy, DhGroup};
     use sage_gpu_sim::{Device, DeviceConfig};
     use sage_sgx_sim::SgxPlatform;
     use sage_vf::VfParams;
-
-    fn entropy(seed: u8) -> impl EntropySource {
-        let mut state = seed;
-        move |buf: &mut [u8]| {
-            for b in buf {
-                state = state.wrapping_mul(181).wrapping_add(101);
-                *b = state;
-            }
-        }
-    }
 
     fn attested() -> (Verifier, AttestationOutcome, SgxPlatform) {
         let mut params = VfParams::test_tiny();
@@ -118,10 +108,10 @@ mod tests {
         let dev = Device::new(DeviceConfig::sim_tiny());
         let mut session = GpuSession::install(dev, &params, 0xC4A1).unwrap();
         let platform = SgxPlatform::new([3u8; 16]);
-        let enclave = platform.launch(b"sage-verifier-v1", &mut entropy(2));
+        let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(2));
         let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
         verifier.calibrate(&mut session, 5).unwrap();
-        let mut agent = DeviceAgent::new(Box::new(entropy(6)));
+        let mut agent = DeviceAgent::new(Box::new(test_entropy(6)));
         let outcome = verifier
             .establish_key(&mut session, &mut agent, None)
             .unwrap();
@@ -135,7 +125,7 @@ mod tests {
             platform.quote_verification_key(),
             sage_crypto::sha256(b"sage-verifier-v1"),
         );
-        let nonce = challenger.challenge(&mut entropy(9));
+        let nonce = challenger.challenge(&mut test_entropy(9));
         let report = verifier.report_for_challenger(&outcome, &nonce);
         assert!(challenger.verify(&report));
         // The nonce is consumed: the same report cannot be shown twice.
@@ -149,7 +139,7 @@ mod tests {
             platform.quote_verification_key(),
             sage_crypto::sha256(b"sage-verifier-v1"),
         );
-        let _nonce = challenger.challenge(&mut entropy(9));
+        let _nonce = challenger.challenge(&mut test_entropy(9));
         let stale = [0u8; 32];
         let report = verifier.report_for_challenger(&outcome, &stale);
         assert!(!challenger.verify(&report));
@@ -162,7 +152,7 @@ mod tests {
             platform.quote_verification_key(),
             sage_crypto::sha256(b"some-other-enclave"),
         );
-        let nonce = challenger.challenge(&mut entropy(9));
+        let nonce = challenger.challenge(&mut test_entropy(9));
         let report = verifier.report_for_challenger(&outcome, &nonce);
         assert!(!challenger.verify(&report));
     }
@@ -174,7 +164,7 @@ mod tests {
             [0xEE; 16], // wrong platform key
             sage_crypto::sha256(b"sage-verifier-v1"),
         );
-        let nonce = challenger.challenge(&mut entropy(9));
+        let nonce = challenger.challenge(&mut test_entropy(9));
         let report = verifier.report_for_challenger(&outcome, &nonce);
         assert!(!challenger.verify(&report));
     }
@@ -186,7 +176,7 @@ mod tests {
             platform.quote_verification_key(),
             sage_crypto::sha256(b"sage-verifier-v1"),
         );
-        let nonce = challenger.challenge(&mut entropy(9));
+        let nonce = challenger.challenge(&mut test_entropy(9));
         let mut report = verifier.report_for_challenger(&outcome, &nonce);
         report.key_commitment[0] ^= 1;
         assert!(!challenger.verify(&report));

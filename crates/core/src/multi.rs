@@ -13,9 +13,10 @@
 //! attested device is re-verified after each new establishment (the
 //! "actively maintaining" step).
 
-use sage_crypto::DhGroup;
-use sage_gpu_sim::DeviceConfig;
+use sage_crypto::{test_entropy, DhGroup};
+use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::Enclave;
+use sage_vf::VfParams;
 
 use crate::{
     agent::DeviceAgent,
@@ -50,7 +51,45 @@ impl FleetMember {
             name,
         }
     }
+
+    /// A cycle-accurate test member: `cfg` running the `test_tiny` VF at
+    /// 5 iterations, its agent drawing [`test_entropy`]`(agent_seed)`.
+    /// Deterministic, so a seeded fleet replays byte for byte.
+    pub fn tiny(name: impl Into<String>, cfg: DeviceConfig, agent_seed: u8) -> FleetMember {
+        let mut params = VfParams::test_tiny();
+        params.iterations = 5;
+        let session =
+            GpuSession::install(Device::new(cfg), &params, FILL_SEED).expect("install VF");
+        FleetMember::seeded(name, session, agent_seed)
+    }
+
+    /// A modeled test member: a `sim_nano` device whose `fleet_tiny`
+    /// checksums come from the replay engine with synthesized timing
+    /// (see [`GpuSession::install_modeled`]), so fleets of thousands
+    /// stay cheap. Seeded like [`FleetMember::tiny`].
+    pub fn modeled(name: impl Into<String>, agent_seed: u8) -> FleetMember {
+        let session = GpuSession::install_modeled(
+            Device::new(DeviceConfig::sim_nano()),
+            &VfParams::fleet_tiny(),
+            FILL_SEED,
+            10_000,
+        )
+        .expect("install modeled VF");
+        FleetMember::seeded(name, session, agent_seed)
+    }
+
+    fn seeded(name: impl Into<String>, session: GpuSession, agent_seed: u8) -> FleetMember {
+        let agent = DeviceAgent::new(Box::new(test_entropy(agent_seed)));
+        FleetMember {
+            session,
+            agent,
+            name: name.into(),
+        }
+    }
 }
+
+/// The VF fill seed every test member installs with.
+const FILL_SEED: u32 = 0xF1EE7;
 
 /// The protocol phase a fleet attestation failed in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -188,34 +227,14 @@ fn fail(name: &str, phase: FleetPhase, error: SageError) -> FleetFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_crypto::EntropySource;
-    use sage_gpu_sim::Device;
     use sage_sgx_sim::SgxPlatform;
-    use sage_vf::VfParams;
-
-    fn entropy(seed: u8) -> impl EntropySource {
-        let mut state = seed;
-        move |buf: &mut [u8]| {
-            for b in buf {
-                state = state.wrapping_mul(181).wrapping_add(101);
-                *b = state;
-            }
-        }
-    }
-
-    fn member(cfg: DeviceConfig, seed: u8) -> FleetMember {
-        let mut params = VfParams::test_tiny();
-        params.iterations = 6;
-        let session = GpuSession::install(Device::new(cfg), &params, 0xF1EE7).unwrap();
-        FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))))
-    }
 
     fn fleet_of(members: Vec<FleetMember>) -> (FleetOutcome, Vec<(FleetMember, Verifier)>) {
         let platform = SgxPlatform::new([7u8; 16]);
         let mut launch_seed = 60u8;
         let mut factory = move || {
             launch_seed += 1;
-            platform.launch(b"fleet-verifier", &mut entropy(launch_seed))
+            platform.launch(b"fleet-verifier", &mut test_entropy(launch_seed))
         };
         attest_fleet(&mut factory, DhGroup::test_group(), members, 5)
     }
@@ -226,7 +245,7 @@ mod tests {
             .into_iter()
             .map(|c| {
                 seed += 1;
-                member(c, seed)
+                FleetMember::tiny(c.name, c, seed)
             })
             .collect();
         fleet_of(members).0
@@ -263,10 +282,8 @@ mod tests {
     fn equal_power_ties_break_on_name() {
         // Two identical devices: power scores tie, so the deterministic
         // name tie-break decides the attestation order.
-        let mut a = member(DeviceConfig::sim_tiny(), 41);
-        a.name = "tiny-b".into();
-        let mut b = member(DeviceConfig::sim_tiny(), 42);
-        b.name = "tiny-a".into();
+        let a = FleetMember::tiny("tiny-b", DeviceConfig::sim_tiny(), 41);
+        let b = FleetMember::tiny("tiny-a", DeviceConfig::sim_tiny(), 42);
         let (outcome, _) = fleet_of(vec![a, b]);
         assert!(outcome.is_complete());
         assert_eq!(outcome.attested[0].0, "tiny-a");
@@ -278,8 +295,8 @@ mod tests {
         // The weaker device's static checksum data is corrupted, so its
         // calibration fails — but the stronger device, attested first,
         // must survive in the outcome with its established session.
-        let strong = member(DeviceConfig::sim_small(), 43);
-        let mut weak = member(DeviceConfig::sim_tiny(), 44);
+        let strong = FleetMember::tiny("SIM-SMALL", DeviceConfig::sim_small(), 43);
+        let mut weak = FleetMember::tiny("SIM-TINY", DeviceConfig::sim_tiny(), 44);
         let layout = weak.session.build().layout;
         weak.session
             .dev

@@ -350,16 +350,7 @@ impl SakeDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entropy(seed: u8) -> impl sage_crypto::EntropySource {
-        let mut state = seed;
-        move |buf: &mut [u8]| {
-            for b in buf {
-                state = state.wrapping_mul(181).wrapping_add(101);
-                *b = state;
-            }
-        }
-    }
+    use sage_crypto::test_entropy;
 
     /// Drives the protocol with a fixed fake checksum (the GPU part is
     /// tested at the integration level).
@@ -367,8 +358,8 @@ mod tests {
         tamper: impl Fn(usize, &mut SakeMessage),
     ) -> (Result<()>, SakeVerifier, SakeDevice) {
         let group = DhGroup::test_group();
-        let mut ve = entropy(1);
-        let mut de = entropy(2);
+        let mut ve = test_entropy(1);
+        let mut de = test_entropy(2);
         let (mut v, mut msg) = SakeVerifier::start(group.clone(), &mut ve);
         let mut d = SakeDevice::new(group);
         let c = [7u32, 6, 5, 4, 3, 2, 1, 0];
@@ -437,8 +428,8 @@ mod tests {
         // replay (i.e. the VF was tampered with): the commitment MAC
         // fails.
         let group = DhGroup::test_group();
-        let mut ve = entropy(1);
-        let mut de = entropy(2);
+        let mut ve = test_entropy(1);
+        let mut de = test_entropy(2);
         let (mut v, msg) = SakeVerifier::start(group.clone(), &mut ve);
         let mut d = SakeDevice::new(group);
         let SakeMessage::Challenge { v2 } = msg else {

@@ -9,29 +9,19 @@ use sage::{
     sake::SakeMessage,
     GpuSession, SageError, SecureChannel, Verifier,
 };
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::{verify_quote, SgxPlatform};
 use sage_vf::VfParams;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn setup() -> (Verifier, GpuSession, DeviceAgent, SgxPlatform) {
     let params = VfParams::test_tiny();
     let dev = Device::new(DeviceConfig::sim_tiny());
     let session = GpuSession::install(dev, &params, 0xFEED).unwrap();
     let platform = SgxPlatform::new([9u8; 16]);
-    let enclave = platform.launch(b"sage-verifier-v1", &mut entropy(3));
+    let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(3));
     let verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
-    let agent = DeviceAgent::new(Box::new(entropy(7)));
+    let agent = DeviceAgent::new(Box::new(test_entropy(7)));
     (verifier, session, agent, platform)
 }
 

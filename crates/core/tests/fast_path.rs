@@ -3,27 +3,17 @@
 //! transparently, and calibration runs off the bank.
 
 use sage::{GpuSession, Verifier};
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::{BankConfig, VfParams};
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn setup() -> (Verifier, GpuSession) {
     let params = VfParams::test_tiny();
     let dev = Device::new(DeviceConfig::sim_tiny());
     let session = GpuSession::install(dev, &params, 0xFEED).unwrap();
     let platform = SgxPlatform::new([9u8; 16]);
-    let enclave = platform.launch(b"sage-verifier-v1", &mut entropy(3));
+    let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(3));
     let verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     (verifier, session)
 }

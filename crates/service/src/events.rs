@@ -196,6 +196,45 @@ pub struct Counters {
     pub relay_rejects: u64,
 }
 
+// A counter added to the struct but not to the field table would be
+// silently dropped from the JSON and the snapshot; this fails the build.
+const _: () = assert!(std::mem::size_of::<Counters>() == 19 * 8);
+
+impl Counters {
+    /// Every counter as `(name, value)`, in declaration order: the one
+    /// field table the JSON rendering and the snapshot codec share.
+    pub fn fields(&self) -> [(&'static str, u64); 19] {
+        let mut c = *self;
+        c.fields_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Every counter as `(name, &mut value)`, in [`Counters::fields`]
+    /// order.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 19] {
+        [
+            ("joins", &mut self.joins),
+            ("leaves", &mut self.leaves),
+            ("rounds_started", &mut self.rounds_started),
+            ("rounds_passed", &mut self.rounds_passed),
+            ("value_rejects", &mut self.value_rejects),
+            ("timing_rejects", &mut self.timing_rejects),
+            ("timeouts", &mut self.timeouts),
+            ("restarts", &mut self.restarts),
+            ("late_responses", &mut self.late_responses),
+            ("quarantines", &mut self.quarantines),
+            ("calibration_failures", &mut self.calibration_failures),
+            ("freshness_transitions", &mut self.freshness_transitions),
+            ("epochs_sealed", &mut self.epochs_sealed),
+            ("link_downs", &mut self.link_downs),
+            ("link_resumes", &mut self.link_resumes),
+            ("spotcheck_skips", &mut self.spotcheck_skips),
+            ("quorum_disputes", &mut self.quorum_disputes),
+            ("verifier_suspects", &mut self.verifier_suspects),
+            ("relay_rejects", &mut self.relay_rejects),
+        ]
+    }
+}
+
 /// Round-latency distribution over passed rounds, in virtual ticks
 /// (nearest-rank percentiles — reproducible for a fixed seed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -376,23 +415,11 @@ impl EventLog {
         }
     }
 
-    /// Rebuilds a log from a previously exported event stream, replaying
-    /// each event through [`EventLog::record`] so the derived counters
-    /// are recomputed — a restored log is indistinguishable from one
-    /// that never stopped.
-    pub fn restore(events: Vec<Event>) -> EventLog {
-        let mut log = EventLog::new();
-        for e in events {
-            log.record(e.at, &e.device, e.kind);
-        }
-        log
-    }
-
     /// Rebuilds a log from snapshot parts: the retained event window
-    /// plus the authoritative counters and drop count. Unlike
-    /// [`EventLog::restore`], nothing is replayed — when the ring has
-    /// wrapped, the retained window no longer determines the counters,
-    /// so they must be carried explicitly.
+    /// plus the authoritative counters and drop count. Nothing is
+    /// replayed through [`EventLog::record`]: once the ring has wrapped,
+    /// the retained window no longer determines the counters, so they
+    /// must be carried explicitly.
     pub fn restore_parts(
         events: Vec<Event>,
         counters: Counters,
@@ -557,38 +584,13 @@ impl EventLog {
 
     /// Renders the counters as a JSON object (no trailing newline).
     pub fn counters_json(&self) -> String {
-        let c = self.counters;
-        format!(
-            concat!(
-                "{{\"joins\": {}, \"leaves\": {}, \"rounds_started\": {}, ",
-                "\"rounds_passed\": {}, \"value_rejects\": {}, \"timing_rejects\": {}, ",
-                "\"timeouts\": {}, \"restarts\": {}, \"late_responses\": {}, ",
-                "\"quarantines\": {}, \"calibration_failures\": {}, ",
-                "\"freshness_transitions\": {}, \"epochs_sealed\": {}, ",
-                "\"link_downs\": {}, \"link_resumes\": {}, ",
-                "\"spotcheck_skips\": {}, \"quorum_disputes\": {}, ",
-                "\"verifier_suspects\": {}, \"relay_rejects\": {}}}"
-            ),
-            c.joins,
-            c.leaves,
-            c.rounds_started,
-            c.rounds_passed,
-            c.value_rejects,
-            c.timing_rejects,
-            c.timeouts,
-            c.restarts,
-            c.late_responses,
-            c.quarantines,
-            c.calibration_failures,
-            c.freshness_transitions,
-            c.epochs_sealed,
-            c.link_downs,
-            c.link_resumes,
-            c.spotcheck_skips,
-            c.quorum_disputes,
-            c.verifier_suspects,
-            c.relay_rejects,
-        )
+        let fields: Vec<String> = self
+            .counters
+            .fields()
+            .iter()
+            .map(|(name, v)| format!("\"{name}\": {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
     }
 
     /// Renders the full log (counters + events) as JSON.

@@ -357,29 +357,10 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     out
 }
 
-/// Counters are encoded in declaration order; the decoder mirrors this.
+/// Counters are encoded in [`Counters::fields`] order; the decoder
+/// reads them back in the same order.
 fn put_counters(out: &mut Vec<u8>, c: &Counters) {
-    for v in [
-        c.joins,
-        c.leaves,
-        c.rounds_started,
-        c.rounds_passed,
-        c.value_rejects,
-        c.timing_rejects,
-        c.timeouts,
-        c.restarts,
-        c.late_responses,
-        c.quarantines,
-        c.calibration_failures,
-        c.freshness_transitions,
-        c.epochs_sealed,
-        c.link_downs,
-        c.link_resumes,
-        c.spotcheck_skips,
-        c.quorum_disputes,
-        c.verifier_suspects,
-        c.relay_rejects,
-    ] {
+    for (_, v) in c.fields() {
         put_u64(out, v);
     }
 }
@@ -719,27 +700,10 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         };
         events.push(Event { at, device, kind });
     }
-    let counters = Counters {
-        joins: r.u64()?,
-        leaves: r.u64()?,
-        rounds_started: r.u64()?,
-        rounds_passed: r.u64()?,
-        value_rejects: r.u64()?,
-        timing_rejects: r.u64()?,
-        timeouts: r.u64()?,
-        restarts: r.u64()?,
-        late_responses: r.u64()?,
-        quarantines: r.u64()?,
-        calibration_failures: r.u64()?,
-        freshness_transitions: r.u64()?,
-        epochs_sealed: r.u64()?,
-        link_downs: r.u64()?,
-        link_resumes: r.u64()?,
-        spotcheck_skips: r.u64()?,
-        quorum_disputes: r.u64()?,
-        verifier_suspects: r.u64()?,
-        relay_rejects: r.u64()?,
-    };
+    let mut counters = Counters::default();
+    for (_, v) in counters.fields_mut() {
+        *v = r.u64()?;
+    }
     let events_dropped = r.u64()?;
     let quorum = if r.flag("quorum")? {
         let n = r.u16()? as usize;

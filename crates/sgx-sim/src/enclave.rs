@@ -158,16 +158,7 @@ pub fn verify_quote(verification_key: &[u8; 16], quote: &Quote) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entropy() -> impl EntropySource {
-        let mut state = 7u8;
-        move |buf: &mut [u8]| {
-            for b in buf {
-                state = state.wrapping_mul(181).wrapping_add(101);
-                *b = state;
-            }
-        }
-    }
+    use sage_crypto::test_entropy;
 
     fn platform() -> SgxPlatform {
         SgxPlatform::new([0x42; 16])
@@ -176,14 +167,14 @@ mod tests {
     #[test]
     fn measurement_is_code_hash() {
         let p = platform();
-        let e = p.launch(b"verifier-v1", &mut entropy());
+        let e = p.launch(b"verifier-v1", &mut test_entropy(7));
         assert_eq!(e.measurement(), sha256(b"verifier-v1"));
     }
 
     #[test]
     fn quotes_verify_and_bind_data() {
         let p = platform();
-        let e = p.launch(b"verifier-v1", &mut entropy());
+        let e = p.launch(b"verifier-v1", &mut test_entropy(7));
         let q = e.quote([9u8; 32]);
         assert!(verify_quote(&p.quote_verification_key(), &q));
 
@@ -196,14 +187,14 @@ mod tests {
         assert!(!verify_quote(&[0x43; 16], &q));
 
         // A different enclave produces a different measurement.
-        let e2 = p.launch(b"verifier-v2", &mut entropy());
+        let e2 = p.launch(b"verifier-v2", &mut test_entropy(7));
         assert_ne!(e2.quote([9u8; 32]).measurement, q.measurement);
     }
 
     #[test]
     fn drbg_streams_are_distinct_and_deterministic_per_seed() {
         let p = platform();
-        let mut src = entropy();
+        let mut src = test_entropy(7);
         let mut e1 = p.launch(b"code", &mut src);
         let mut e2 = p.launch(b"code", &mut src);
         // Different creation entropy draws → different nonces.
@@ -215,7 +206,7 @@ mod tests {
     #[test]
     fn seal_unseal_round_trip() {
         let p = platform();
-        let mut e = p.launch(b"code", &mut entropy());
+        let mut e = p.launch(b"code", &mut test_entropy(7));
         e.seal("dh-key", b"secret material");
         assert_eq!(e.unseal("dh-key").unwrap(), b"secret material");
         assert_eq!(e.unseal("missing"), None);
@@ -224,7 +215,7 @@ mod tests {
     #[test]
     fn corrupted_sealed_blob_rejected() {
         let p = platform();
-        let mut e = p.launch(b"code", &mut entropy());
+        let mut e = p.launch(b"code", &mut test_entropy(7));
         e.seal("k", b"data");
         e.sealed_store_mut().get_mut("k").unwrap()[20] ^= 1;
         assert_eq!(e.unseal("k"), None);

@@ -11,41 +11,19 @@
 //! Everything is virtual-clock driven and seeded: run it twice and you
 //! get the identical timeline.
 
-use sage::agent::DeviceAgent;
 use sage::multi::FleetMember;
-use sage::GpuSession;
 use sage_attacks::forge::ReplayTap;
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_evidence::{verify_report, DeviceReport, FreshnessPolicy};
-use sage_gpu_sim::{Device, DeviceConfig};
+use sage_gpu_sim::DeviceConfig;
 use sage_service::{
     AttestationService, DeviceState, Fault, LinkProfile, ServiceConfig, SimNet, VERIFIER_NODE,
 };
 use sage_sgx_sim::SgxPlatform;
 use sage_telemetry::Registry;
-use sage_vf::VfParams;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn demo_entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(name: &str, cfg: DeviceConfig, seed: u8) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session = GpuSession::install(Device::new(cfg), &params, 0xF1EE7).unwrap();
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(demo_entropy(seed))));
-    m.name = name.to_string();
-    m
 }
 
 fn main() {
@@ -90,8 +68,8 @@ fn main() {
     .into_iter()
     .enumerate()
     {
-        let enclave = platform.launch(b"svc-verifier", &mut demo_entropy(81 + i as u8));
-        let id = svc.join(member(name, dev, 31 + i as u8), enclave);
+        let enclave = platform.launch(b"svc-verifier", &mut test_entropy(81 + i as u8));
+        let id = svc.join(FleetMember::tiny(name, dev, 31 + i as u8), enclave);
         println!(
             "  {name:8} joined as {id}, threshold {:?} cycles",
             svc.threshold_of(name)

@@ -23,38 +23,17 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::DhGroup;
-use sage_repro::gpu::{Device, DeviceConfig};
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::service::{
     AttestationService, Bind, ClockDriver, DeviceLink, DeviceLinkConfig, DeviceState, LinkConfig,
     Pump, ServiceConfig, TcpTransport,
 };
 use sage_repro::sgx::SgxPlatform;
-use sage_repro::vf::VfParams;
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn modeled_member(index: usize) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
     let seed = (index as u8).wrapping_mul(3).wrapping_add(11) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = format!("gpu-{index:05}");
-    m
+    FleetMember::modeled(format!("gpu-{index:05}"), seed)
 }
 
 fn serve(sock: PathBuf, rounds: u64) {
@@ -90,7 +69,7 @@ fn serve(sock: PathBuf, rounds: u64) {
                         }
                     };
                     println!("enrolling {name} ...");
-                    let enclave = platform.launch(b"link-verifier", &mut entropy(23));
+                    let enclave = platform.launch(b"link-verifier", &mut test_entropy(23));
                     svc.join_remote(modeled_member(index), enclave, stream);
                     println!("  -> {:?}", svc.state_of(&name).unwrap());
                 }

@@ -9,20 +9,10 @@
 use sage::agent::DeviceAgent;
 use sage::multi::{attest_fleet, power_score, FleetMember};
 use sage::GpuSession;
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::VfParams;
-
-fn demo_entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn main() {
     // A heterogeneous system: one bigger and one smaller GPU (note the
@@ -41,7 +31,7 @@ fn main() {
         .map(|cfg| {
             seed += 2;
             let session = GpuSession::install(Device::new(cfg), &params, 0xF1EE7).unwrap();
-            FleetMember::new(session, DeviceAgent::new(Box::new(demo_entropy(seed))))
+            FleetMember::new(session, DeviceAgent::new(Box::new(test_entropy(seed))))
         })
         .collect();
 
@@ -49,7 +39,7 @@ fn main() {
     let mut launch_seed = 70u8;
     let mut factory = move || {
         launch_seed += 1;
-        platform.launch(b"fleet-verifier", &mut demo_entropy(launch_seed))
+        platform.launch(b"fleet-verifier", &mut test_entropy(launch_seed))
     };
 
     let (outcome, fleet) = attest_fleet(&mut factory, DhGroup::test_group(), members, 8);

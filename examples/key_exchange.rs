@@ -7,20 +7,10 @@
 //! ```
 
 use sage::{agent::DeviceAgent, sake::SakeMessage, Verifier};
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::VfParams;
-
-fn demo_entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn hex(bytes: &[u8], n: usize) -> String {
     bytes
@@ -38,12 +28,12 @@ fn main() {
     let mut session = sage::GpuSession::install(device, &params, 0x6E4A).unwrap();
 
     let platform = SgxPlatform::new([0x42; 16]);
-    let enclave = platform.launch(b"sage-verifier-v1", &mut demo_entropy(11));
+    let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(11));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.calibrate(&mut session, 8).unwrap();
     println!("calibrated; running modified SAKE…\n");
 
-    let mut agent = DeviceAgent::new(Box::new(demo_entropy(23)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(23)));
     let mut narrate = |step: usize, msg: &mut SakeMessage| {
         let line = match msg {
             SakeMessage::Challenge { v2 } => {

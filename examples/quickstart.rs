@@ -15,22 +15,10 @@ use sage::{
     kernels::{self, vecadd::Elem},
     Verifier,
 };
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{Device, DeviceConfig};
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::VfParams;
-
-/// Deterministic demo entropy (a real deployment uses the enclave TRNG
-/// on the host and the race-condition TRNG on the device).
-fn demo_entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn main() {
     // 1. A device and a verification function sized for it.
@@ -47,7 +35,7 @@ fn main() {
 
     // 2. The verifier runs in an enclave on the host.
     let platform = SgxPlatform::new([0x42; 16]);
-    let enclave = platform.launch(b"sage-verifier-v1", &mut demo_entropy(3));
+    let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(3));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
 
     // 3. Calibrate the timing threshold on the known-good device.
@@ -60,7 +48,7 @@ fn main() {
     );
 
     // 4. Establish the dynamic root of trust and the session key (SAKE).
-    let mut agent = DeviceAgent::new(Box::new(demo_entropy(7)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(7)));
     let outcome = verifier
         .establish_key(&mut session, &mut agent, None)
         .unwrap();

@@ -13,20 +13,10 @@
 //! what an eavesdropper on the PCIe bus actually observes.
 
 use sage::{agent::DeviceAgent, kernels, Verifier};
-use sage_crypto::{DhGroup, EntropySource};
+use sage_crypto::{test_entropy, DhGroup};
 use sage_gpu_sim::{BusTap, Device, DeviceConfig};
 use sage_sgx_sim::SgxPlatform;
 use sage_vf::VfParams;
-
-fn demo_entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 /// A passive eavesdropper on the PCIe bus: records everything it sees.
 struct Snooper {
@@ -62,11 +52,11 @@ fn main() {
     }));
 
     let platform = SgxPlatform::new([0x42; 16]);
-    let enclave = platform.launch(b"sage-verifier-v1", &mut demo_entropy(5));
+    let enclave = platform.launch(b"sage-verifier-v1", &mut test_entropy(5));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.calibrate(&mut session, 8).unwrap();
 
-    let mut agent = DeviceAgent::new(Box::new(demo_entropy(9)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(9)));
     let outcome = verifier
         .establish_key(&mut session, &mut agent, None)
         .unwrap();

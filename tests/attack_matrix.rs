@@ -30,14 +30,15 @@
 //! honest report accepted on both (zero false accepts, zero false
 //! rejects).
 
+mod common;
+
+use common::{compromise_with_replay, counter_value, enclave, perfect_net, SVC};
 use sage_repro::attacks::{
     datasub, forge::ReplayTap, lepc, memcopy::patch_immediates, nop, proxy::faster_gpu,
     takeover::spin_kernel, Detection,
 };
-use sage_repro::core::{
-    agent::DeviceAgent, multi::FleetMember, timing::Calibration, GpuSession, SageError, Verifier,
-};
-use sage_repro::crypto::{DhGroup, EntropySource};
+use sage_repro::core::{multi::FleetMember, timing::Calibration, GpuSession, SageError, Verifier};
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::evidence::{
     verify_report, DeviceReport, EvidencePath, EvidencePayload, EvidenceRecord, Freshness,
     FreshnessPolicy, ReportError, StageVerdict,
@@ -45,11 +46,11 @@ use sage_repro::evidence::{
 use sage_repro::gpu::{BusTap, Device, DeviceConfig, LaunchParams};
 use sage_repro::isa::Opcode;
 use sage_repro::service::{
-    covers, epochs_to_detect, AttestationService, DeviceState, EventKind, FailReason, LinkProfile,
-    Policy, QuorumConfig, SamplingConfig, ServiceConfig, SimNet, VerifierBehavior,
+    covers, epochs_to_detect, AttestationService, DeviceState, EventKind, FailReason, Policy,
+    QuorumConfig, SamplingConfig, ServiceConfig, SimNet, VerifierBehavior,
 };
 use sage_repro::sgx::SgxPlatform;
-use sage_repro::telemetry::{MetricValue, Registry};
+use sage_repro::telemetry::Registry;
 use sage_repro::vf::{BankConfig, VfParams};
 
 /// Which rejection the attack must produce, mirroring the telemetry
@@ -89,16 +90,6 @@ struct Scenario {
     cause: Cause,
 }
 
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
 /// Installs a session and calibrates a fresh verifier on it while the
 /// device is still honest (attacks are mounted afterwards).
 fn calibrated(
@@ -110,29 +101,10 @@ fn calibrated(
 ) -> (GpuSession, Verifier) {
     let dev = Device::new(cfg.clone());
     let mut session = GpuSession::install(dev, params, fill_seed).unwrap();
-    let enclave = SgxPlatform::new([seed; 16]).launch(b"verifier", &mut entropy(seed));
+    let enclave = SgxPlatform::new([seed; 16]).launch(b"verifier", &mut test_entropy(seed));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.calibrate(&mut session, cal_runs).unwrap();
     (session, verifier)
-}
-
-/// Reads one counter series out of the registry, by exact label match.
-fn counter_value(reg: &Registry, name: &str, labels: &[(&str, &str)]) -> u64 {
-    for (n, ls, v) in reg.collect() {
-        let same = n == name
-            && ls.len() == labels.len()
-            && ls
-                .iter()
-                .zip(labels)
-                .all(|((k1, v1), (k2, v2))| k1 == k2 && v1 == v2);
-        if same {
-            match v {
-                MetricValue::Counter(c) => return c,
-                other => panic!("{name} is not a counter: {other:?}"),
-            }
-        }
-    }
-    panic!("series {name}{labels:?} not found");
 }
 
 fn assert_cause(attack: &str, path: &str, err: &SageError, cause: Cause) {
@@ -412,7 +384,7 @@ fn nop_rejected_on_both_paths() {
     // carry the correct value (None) but the injected timings.
     let dev = Device::new(cfg.clone());
     let session = GpuSession::install(dev, &params, 0x5EED).unwrap();
-    let enclave = SgxPlatform::new([7u8; 16]).launch(b"verifier", &mut entropy(53));
+    let enclave = SgxPlatform::new([7u8; 16]).launch(b"verifier", &mut test_entropy(53));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.set_calibration(calibration);
 
@@ -556,25 +528,7 @@ struct HonestReport {
 /// [`EvidencePath`] is asserted to prove which path produced the
 /// history.
 fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> HonestReport {
-    fn fleet_member(name: &str, seed: u8) -> FleetMember {
-        let mut params = VfParams::test_tiny();
-        params.iterations = 5;
-        let session =
-            GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7).unwrap();
-        let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-        m.name = name.to_string();
-        m
-    }
-
-    let net = SimNet::new(
-        42,
-        LinkProfile {
-            latency: 100,
-            jitter: 0,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    );
+    let net = perfect_net(42);
     let cfg = ServiceConfig {
         reattest_interval: 20_000,
         latency_budget: 200,
@@ -593,12 +547,12 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
     svc.join(
-        fleet_member("gpu-a", 41),
-        SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(61)),
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
     );
     svc.join(
-        fleet_member("gpu-b", 42),
-        SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(62)),
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
     );
     svc.run_for(82_000);
     assert!(svc.probe_device("gpu-a").unwrap(), "liveness probe answers");
@@ -816,18 +770,6 @@ fn evidence_tampering_rejected_on_precomputed_path_history() {
 // reject/suspect causes plus zero false accepts on both.
 // ---------------------------------------------------------------------
 
-/// One fleet device for the Byzantine campaigns (same tiny build the
-/// evidence campaigns use).
-fn byz_member(name: &str, seed: u8) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session =
-        GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7).unwrap();
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = name.to_string();
-    m
-}
-
 /// The knobs one Byzantine campaign turns; everything else is the same
 /// deterministic perfect-link fleet the evidence campaigns run on.
 struct FleetSpec {
@@ -838,15 +780,7 @@ struct FleetSpec {
 }
 
 fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> AttestationService<SimNet> {
-    let net = SimNet::new(
-        7,
-        LinkProfile {
-            latency: 100,
-            jitter: 0,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    );
+    let net = perfect_net(7);
     let cfg = ServiceConfig {
         reattest_interval: 20_000,
         latency_budget: 200,
@@ -864,21 +798,11 @@ fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> AttestationService<SimNe
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
     for (i, name) in names.iter().enumerate() {
         svc.join(
-            byz_member(name, 41 + i as u8),
-            SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(61 + i as u8)),
+            FleetMember::tiny(*name, DeviceConfig::sim_tiny(), 41 + i as u8),
+            enclave(SVC, 61 + i as u8),
         );
     }
     svc
-}
-
-/// Installs the §8 replay tap on an enrolled fleet device (the same
-/// post-enrollment compromise `tests/service_fleet.rs` uses).
-fn compromise_fleet_device(svc: &mut AttestationService<SimNet>, name: &str) {
-    let session = svc.session_mut(name).expect("device is managed");
-    let result_addr = session.build().layout.result_addr();
-    session
-        .dev
-        .install_bus_tap(Box::new(ReplayTap::new(result_addr)));
 }
 
 fn fleet_rounds_passed(svc: &AttestationService<SimNet>, name: &str) -> u64 {
@@ -965,7 +889,7 @@ fn colluding_cheaters_under_sampling(bank_capacity: usize, expected_path: Eviden
     }
 
     for n in evil {
-        compromise_fleet_device(&mut svc, n);
+        compromise_with_replay(&mut svc, n);
     }
     let banked: Vec<u64> = evil.iter().map(|n| fleet_rounds_passed(&svc, n)).collect();
 
@@ -1063,7 +987,7 @@ fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
     svc.quorum_mut()
         .unwrap()
         .set_behavior(1, VerifierBehavior::Invert);
-    compromise_fleet_device(&mut svc, "gpu-evil");
+    compromise_with_replay(&mut svc, "gpu-evil");
 
     let mut settled = false;
     for _ in 0..100 {
@@ -1195,7 +1119,7 @@ fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: Evi
             .unwrap()
             .set_behavior(i, VerifierBehavior::Invert);
     }
-    compromise_fleet_device(&mut svc, "gpu-evil");
+    compromise_with_replay(&mut svc, "gpu-evil");
 
     let mut settled = false;
     for _ in 0..100 {
@@ -1403,7 +1327,7 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
         );
     }
 
-    compromise_fleet_device(&mut svc, "gpu-cheat");
+    compromise_with_replay(&mut svc, "gpu-cheat");
     let compromised_at = 45_000u64;
     let start_epoch = compromised_at / 30_000;
     let k = epochs_to_detect(sampling.coverage_per_mille, 980);

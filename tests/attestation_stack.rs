@@ -4,20 +4,10 @@
 //! sense at the workspace level.
 
 use sage_repro::core::{agent::DeviceAgent, kernels, GpuSession, Verifier};
-use sage_repro::crypto::{DhGroup, EntropySource};
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::sgx::{verify_quote, SgxPlatform};
 use sage_repro::vf::{SmcMode, VfParams};
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn mid_params() -> VfParams {
     let mut p = VfParams::test_tiny();
@@ -34,10 +24,10 @@ fn attestation_on_sim_small_with_smc() {
     let device = Device::new(DeviceConfig::sim_small());
     let mut session = GpuSession::install(device, &mid_params(), 0x51AC).unwrap();
     let platform = SgxPlatform::new([1u8; 16]);
-    let enclave = platform.launch(b"verifier", &mut entropy(2));
+    let enclave = platform.launch(b"verifier", &mut test_entropy(2));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.calibrate(&mut session, 8).unwrap();
-    let mut agent = DeviceAgent::new(Box::new(entropy(4)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(4)));
     let outcome = verifier
         .establish_key(&mut session, &mut agent, None)
         .unwrap();
@@ -58,7 +48,7 @@ fn verifier_rejects_device_with_tampered_vf() {
     let device = Device::new(DeviceConfig::sim_small());
     let mut session = GpuSession::install(device, &mid_params(), 0x51AC).unwrap();
     let platform = SgxPlatform::new([1u8; 16]);
-    let enclave = platform.launch(b"verifier", &mut entropy(2));
+    let enclave = platform.launch(b"verifier", &mut test_entropy(2));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
     verifier.calibrate(&mut session, 6).unwrap();
 
@@ -86,9 +76,9 @@ fn sake_key_establishment_fails_fast_when_uncalibrated() {
     let device = Device::new(DeviceConfig::sim_small());
     let mut session = GpuSession::install(device, &mid_params(), 0x51AC).unwrap();
     let platform = SgxPlatform::new([1u8; 16]);
-    let enclave = platform.launch(b"verifier", &mut entropy(2));
+    let enclave = platform.launch(b"verifier", &mut test_entropy(2));
     let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
-    let mut agent = DeviceAgent::new(Box::new(entropy(4)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(4)));
     assert!(verifier
         .establish_key(&mut session, &mut agent, None)
         .is_err());
@@ -101,10 +91,10 @@ fn two_devices_yield_distinct_session_keys() {
         let device = Device::new(DeviceConfig::sim_small());
         let mut session = GpuSession::install(device, &mid_params(), 0x51AC).unwrap();
         let platform = SgxPlatform::new([1u8; 16]);
-        let enclave = platform.launch(b"verifier", &mut entropy(seed));
+        let enclave = platform.launch(b"verifier", &mut test_entropy(seed));
         let mut verifier = Verifier::new(enclave, session.build().clone(), DhGroup::test_group());
         verifier.calibrate(&mut session, 6).unwrap();
-        let mut agent = DeviceAgent::new(Box::new(entropy(seed + 1)));
+        let mut agent = DeviceAgent::new(Box::new(test_entropy(seed + 1)));
         let outcome = verifier
             .establish_key(&mut session, &mut agent, None)
             .unwrap();
@@ -117,7 +107,7 @@ fn two_devices_yield_distinct_session_keys() {
 fn device_sha256_agrees_with_host_for_many_sizes() {
     let device = Device::new(DeviceConfig::sim_small());
     let mut session = GpuSession::install(device, &mid_params(), 0x51AC).unwrap();
-    let mut agent = DeviceAgent::new(Box::new(entropy(4)));
+    let mut agent = DeviceAgent::new(Box::new(test_entropy(4)));
     let r = [3u8; 32];
     for size in [0usize, 1, 31, 32, 55, 56, 64, 100, 257] {
         let code: Vec<u8> = (0..size).map(|i| (i * 37) as u8).collect();

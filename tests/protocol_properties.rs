@@ -12,24 +12,14 @@ use proptest::prelude::*;
 
 use sage_repro::core::channel::{Role, SecureChannel};
 use sage_repro::core::sake::{derive_challenges, SakeDevice, SakeMessage, SakeVerifier};
-use sage_repro::crypto::DhGroup;
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::vf::{build_vf, expected_checksum, VfParams};
-
-fn entropy(seed: u8) -> impl sage_repro::crypto::EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 /// Runs SAKE with a byte-level tamper of message `step` at `pos`.
 fn run_sake_with_tamper(step: usize, pos: usize, flip: u8) -> Result<(), ()> {
     let group = DhGroup::test_group();
-    let mut ve = entropy(1);
-    let mut de = entropy(9);
+    let mut ve = test_entropy(1);
+    let mut de = test_entropy(9);
     let (mut v, msg) = SakeVerifier::start(group.clone(), &mut ve);
     let mut d = SakeDevice::new(group);
     let c = [11u32, 22, 33, 44, 55, 66, 77, 88];

@@ -18,48 +18,18 @@
 //!    a fixed tolerance band — deterministic seeds, so the band never
 //!    flakes.
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
+mod common;
+
+use common::{build_fleet, history_of, History};
 use sage_repro::evidence::FreshnessPolicy;
-use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::service::{
-    covers, detect_probability_per_mille, epochs_to_detect, AttestationService, LinkProfile,
-    QuorumConfig, SamplingConfig, ServiceConfig, SimNet, SpotCheckPlan,
+    covers, detect_probability_per_mille, epochs_to_detect, QuorumConfig, SamplingConfig,
+    ServiceConfig, SpotCheckPlan,
 };
-use sage_repro::sgx::{Enclave, SgxPlatform};
-use sage_repro::vf::VfParams;
 
 const DEVICES: usize = 8;
+const VERIFIER: &[u8] = b"quorum-verifier";
 const HORIZON: u64 = 120_000;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(index: usize, seed: u64) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:02}");
-    m
-}
-
-fn enclave(index: usize, seed: u64) -> Enclave {
-    let enclave_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(5) | 1;
-    SgxPlatform::new([7u8; 16]).launch(b"quorum-verifier", &mut entropy(enclave_seed))
-}
 
 fn config(
     verifiers: u16,
@@ -85,44 +55,10 @@ fn config(
     }
 }
 
-fn build_fleet(cfg: ServiceConfig, seed: u64) -> AttestationService<SimNet> {
-    let net = SimNet::new(
-        seed,
-        LinkProfile {
-            latency: 100,
-            jitter: 25,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    );
-    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
-    for i in 0..DEVICES {
-        svc.join(member(i, seed), enclave(i, seed));
-    }
-    svc
-}
-
-/// The comparable core of one fleet run: per-device evidence heads and
-/// the full event history.
-struct History {
-    heads: Vec<(String, [u8; 32], u64)>,
-    events_json: String,
-    snapshot: Vec<u8>,
-}
-
 fn run_history(cfg: ServiceConfig, seed: u64) -> History {
-    let mut svc = build_fleet(cfg, seed);
+    let mut svc = build_fleet(cfg, DEVICES, VERIFIER, seed);
     svc.run_until(HORIZON);
-    let mut heads = Vec::new();
-    for s in svc.statuses() {
-        let chain = svc.evidence_of(&s.name).expect("evidence chain");
-        heads.push((s.name.clone(), chain.head(), chain.records().len() as u64));
-    }
-    History {
-        heads,
-        events_json: svc.log().to_json(),
-        snapshot: svc.snapshot(),
-    }
+    history_of(&svc)
 }
 
 /// The tentpole determinism contract: any `(verifiers, shards, workers)`

@@ -5,64 +5,18 @@
 //! the §8 attack library) is driven into `Quarantined` — deterministically,
 //! across several seeds.
 
-use sage_repro::attacks::forge::ReplayTap;
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
+mod common;
+
+use common::{compromise_with_replay, counter_value, enclave, perfect_net, SVC};
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::DhGroup;
 use sage_repro::evidence::{verify_report, Freshness, FreshnessPolicy};
-use sage_repro::gpu::{Device, DeviceConfig};
+use sage_repro::gpu::DeviceConfig;
 use sage_repro::service::{
     AttestationService, DeviceState, EventKind, Fault, LinkProfile, Policy, ServiceConfig, SimNet,
     VERIFIER_NODE,
 };
-use sage_repro::sgx::{Enclave, SgxPlatform};
-use sage_repro::telemetry::{MetricValue, Registry};
-use sage_repro::vf::VfParams;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(name: &str, cfg: DeviceConfig, seed: u8) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session = GpuSession::install(Device::new(cfg), &params, 0xF1EE7).unwrap();
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = name.to_string();
-    m
-}
-
-fn enclave(seed: u8) -> Enclave {
-    SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(seed))
-}
-
-fn perfect_net(seed: u64) -> SimNet {
-    SimNet::new(
-        seed,
-        LinkProfile {
-            latency: 100,
-            jitter: 0,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    )
-}
-
-/// Installs the §8 replay tap on an enrolled device: from now on the
-/// first checksum readback is recorded and substituted into every later
-/// round — fresh challenges make that a wrong answer every time.
-fn compromise_with_replay(svc: &mut AttestationService<SimNet>, name: &str) {
-    let session = svc.session_mut(name).expect("device is managed");
-    let result_addr = session.build().layout.result_addr();
-    session
-        .dev
-        .install_bus_tap(Box::new(ReplayTap::new(result_addr)));
-}
+use sage_repro::telemetry::Registry;
 
 #[test]
 fn fleet_survives_churn_and_quarantines_replay_attacker() {
@@ -91,8 +45,8 @@ fn fleet_survives_churn_and_quarantines_replay_attacker() {
         let names = ["gpu-a", "gpu-b", "gpu-c", "gpu-evil"];
         let mut ids = Vec::new();
         for (i, name) in names.iter().enumerate() {
-            let m = member(name, DeviceConfig::sim_tiny(), 41 + i as u8);
-            ids.push(svc.join(m, enclave(61 + i as u8)));
+            let m = FleetMember::tiny(*name, DeviceConfig::sim_tiny(), 41 + i as u8);
+            ids.push(svc.join(m, enclave(SVC, 61 + i as u8)));
         }
 
         // Settle: every device passes its first remote round.
@@ -165,15 +119,21 @@ fn fleet_survives_churn_and_quarantines_replay_attacker() {
 fn roster_stays_most_powerful_first_across_join_and_leave() {
     let cfg = ServiceConfig::default();
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(5));
-    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 45), enclave(65));
-    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 46), enclave(66));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 45),
+        enclave(SVC, 65),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 46),
+        enclave(SVC, 66),
+    );
     svc.run_for(10_000);
 
     // A more powerful device joining mid-run moves to the head of the
     // roster (paper §3.2: most powerful first).
     svc.join(
-        member("gpu-big", DeviceConfig::sim_small(), 47),
-        enclave(67),
+        FleetMember::tiny("gpu-big", DeviceConfig::sim_small(), 47),
+        enclave(SVC, 67),
     );
     let statuses = svc.statuses();
     assert_eq!(statuses[0].name, "gpu-big");
@@ -225,8 +185,14 @@ fn slow_proxy_burns_restart_budget_then_quarantines() {
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(9));
-    svc.join(member("gpu-p", DeviceConfig::sim_tiny(), 48), enclave(68));
-    svc.join(member("gpu-q", DeviceConfig::sim_tiny(), 49), enclave(69));
+    svc.join(
+        FleetMember::tiny("gpu-p", DeviceConfig::sim_tiny(), 48),
+        enclave(SVC, 68),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-q", DeviceConfig::sim_tiny(), 49),
+        enclave(SVC, 69),
+    );
     // One checksum run is ~38k virtual ticks at this VF scale, so the
     // first round needs a generous settling window.
     svc.run_for(45_000);
@@ -268,35 +234,22 @@ fn enrollment_failure_quarantines_without_stopping_the_service() {
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(3));
-    svc.join(member("gpu-x", DeviceConfig::sim_tiny(), 50), enclave(70));
+    svc.join(
+        FleetMember::tiny("gpu-x", DeviceConfig::sim_tiny(), 50),
+        enclave(SVC, 70),
+    );
     assert_eq!(svc.state_of("gpu-x"), Some(DeviceState::Quarantined));
     assert_eq!(svc.log().counters().calibration_failures, 1);
 
     // A properly calibrated device joining the same service still works.
     let good_cfg = ServiceConfig::default();
     let mut good = AttestationService::new(good_cfg, DhGroup::test_group(), perfect_net(4));
-    good.join(member("gpu-y", DeviceConfig::sim_tiny(), 51), enclave(71));
+    good.join(
+        FleetMember::tiny("gpu-y", DeviceConfig::sim_tiny(), 51),
+        enclave(SVC, 71),
+    );
     good.run_for(45_000);
     assert_eq!(good.state_of("gpu-y"), Some(DeviceState::Trusted));
-}
-
-/// Reads one counter series out of the registry, by exact label match.
-fn counter_value(reg: &Registry, name: &str, labels: &[(&str, &str)]) -> u64 {
-    for (n, ls, v) in reg.collect() {
-        let same = n == name
-            && ls.len() == labels.len()
-            && ls
-                .iter()
-                .zip(labels)
-                .all(|((k1, v1), (k2, v2))| k1 == k2 && v1 == v2);
-        if same {
-            match v {
-                MetricValue::Counter(c) => return c,
-                other => panic!("{name} is not a counter: {other:?}"),
-            }
-        }
-    }
-    panic!("series {name}{labels:?} not found");
 }
 
 /// The PR-7 acceptance scenario for freshness decay: with the re-attest
@@ -326,8 +279,14 @@ fn freshness_decays_without_reattestation_and_reverses_on_a_pass() {
     let reg = Registry::new();
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(9));
     svc.attach_telemetry(&reg);
-    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 41), enclave(61));
-    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
 
     // Inside the trusted window: enrollment passed, nothing decayed.
     svc.run_for(50_000);
@@ -419,13 +378,22 @@ fn rejoined_name_resolves_to_the_first_slot() {
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(5));
-    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 41), enclave(61));
-    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     svc.run_for(30_000);
     let first_key = svc.evidence_key_of("gpu-a").expect("gpu-a enrolled");
 
     assert!(svc.leave("gpu-a"));
-    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 43), enclave(63));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 43),
+        enclave(SVC, 63),
+    );
     svc.run_for(30_000); // seals the 40k epoch with both gpu-a slots in it
 
     assert_eq!(svc.state_of("gpu-a"), Some(DeviceState::Revoked));
@@ -462,8 +430,14 @@ fn renamed_device_does_not_answer_to_its_old_name() {
         DhGroup::test_group(),
         perfect_net(6),
     );
-    svc.join(member("gpu-a", DeviceConfig::sim_tiny(), 44), enclave(64));
-    svc.join(member("gpu-b", DeviceConfig::sim_tiny(), 45), enclave(65));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 44),
+        enclave(SVC, 64),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 45),
+        enclave(SVC, 65),
+    );
     assert!(svc.state_of("gpu-a").is_some());
 
     svc.node_mut("gpu-a").unwrap().member.name = "gpu-z".into();
@@ -492,8 +466,8 @@ fn telemetry_fleet(size: usize) -> (AttestationService<SimNet>, Registry, usize)
     svc.attach_telemetry(&reg);
     for i in 0..size {
         let seed = 41 + i as u8;
-        let m = member(&format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), seed);
-        svc.join(m, enclave(seed.wrapping_add(20)));
+        let m = FleetMember::tiny(format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), seed);
+        svc.join(m, enclave(SVC, seed.wrapping_add(20)));
     }
     svc.run_for(45_000);
     compromise_with_replay(&mut svc, "gpu-00");

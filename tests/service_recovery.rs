@@ -18,40 +18,17 @@
 //!    restore, and the next sealed epoch root matches the uninterrupted
 //!    twin bit for bit.
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
+mod common;
+
+use common::{enclave, perfect_net, SVC};
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::DhGroup;
 use sage_repro::evidence::{verify_report, FreshnessPolicy};
-use sage_repro::gpu::{Device, DeviceConfig, DeviceFault, FaultPlan};
+use sage_repro::gpu::{DeviceConfig, DeviceFault, FaultPlan};
 use sage_repro::service::{
     AttestationService, DeviceState, EventKind, FailReason, LinkProfile, Policy, QuorumConfig,
     ServiceConfig, SimNet, SnapshotError, VerifierBehavior,
 };
-use sage_repro::sgx::{Enclave, SgxPlatform};
-use sage_repro::vf::VfParams;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(name: &str, seed: u8) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session =
-        GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7).unwrap();
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = name.to_string();
-    m
-}
-
-fn enclave(seed: u8) -> Enclave {
-    SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(seed))
-}
 
 fn jittery_net(seed: u64) -> SimNet {
     SimNet::new(
@@ -60,18 +37,6 @@ fn jittery_net(seed: u64) -> SimNet {
             latency: 100,
             jitter: 25,
             drop_per_mille: 10,
-            dup_per_mille: 0,
-        },
-    )
-}
-
-fn perfect_net(seed: u64) -> SimNet {
-    SimNet::new(
-        seed,
-        LinkProfile {
-            latency: 100,
-            jitter: 0,
-            drop_per_mille: 0,
             dup_per_mille: 0,
         },
     )
@@ -93,8 +58,14 @@ fn cfg() -> ServiceConfig {
 /// compare an interrupted run against an uninterrupted twin.
 fn two_device_fleet(seed: u64) -> AttestationService<SimNet> {
     let mut svc = AttestationService::new(cfg(), DhGroup::test_group(), jittery_net(seed));
-    svc.join(member("gpu-a", 41), enclave(61));
-    svc.join(member("gpu-b", 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     svc
 }
 
@@ -241,7 +212,10 @@ fn restore_rejects_mismatched_endpoints_and_garbage() {
 
     // A foreign endpoint the snapshot doesn't know is rejected too.
     let mut one = AttestationService::new(cfg(), DhGroup::test_group(), perfect_net(2));
-    one.join(member("gpu-a", 41), enclave(61));
+    one.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
     one.run_until(60_000);
     let one_snap = one.snapshot();
     let mut two = two_device_fleet(32);
@@ -269,8 +243,14 @@ fn evidence_cfg() -> ServiceConfig {
 
 fn evidence_fleet(seed: u64) -> AttestationService<SimNet> {
     let mut svc = AttestationService::new(evidence_cfg(), DhGroup::test_group(), jittery_net(seed));
-    svc.join(member("gpu-a", 41), enclave(61));
-    svc.join(member("gpu-b", 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     svc
 }
 
@@ -357,7 +337,10 @@ fn restored_service_mints_byte_identical_reports() {
     // from the snapshot; every report must come out the same bytes.
     let names = ["gpu-a", "gpu-b", "gpu-c"];
     let mut svc = evidence_fleet(53);
-    svc.join(member("gpu-c", 43), enclave(63));
+    svc.join(
+        FleetMember::tiny("gpu-c", DeviceConfig::sim_tiny(), 43),
+        enclave(SVC, 63),
+    );
     svc.run_until(90_000);
     assert_eq!(svc.sealed_epochs().len(), 1, "one seal before the crash");
     let before: Vec<Vec<u8>> = names
@@ -397,8 +380,14 @@ fn quorum_cfg() -> ServiceConfig {
 
 fn quorum_fleet(seed: u64) -> AttestationService<SimNet> {
     let mut svc = AttestationService::new(quorum_cfg(), DhGroup::test_group(), jittery_net(seed));
-    svc.join(member("gpu-a", 41), enclave(61));
-    svc.join(member("gpu-b", 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     // Replica 2 lies from the start (in both universes, so the twin
     // histories stay comparable): every verdict is disputed, flagged,
     // and sealed — non-trivial quorum state for the crash to threaten.
@@ -519,8 +508,14 @@ fn transient_fault_degrades_then_reconverges_persistent_fault_quarantines() {
     // Two honest devices on a perfect network; the chaos engine injects
     // a transient fault into one and a persistent fault into the other.
     let mut svc = AttestationService::new(cfg(), DhGroup::test_group(), perfect_net(77));
-    svc.join(member("gpu-flaky", 41), enclave(61));
-    svc.join(member("gpu-rotten", 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-flaky", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-rotten", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     svc.run_for(45_000);
     for name in ["gpu-flaky", "gpu-rotten"] {
         assert_eq!(svc.state_of(name), Some(DeviceState::Trusted), "{name}");

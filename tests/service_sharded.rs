@@ -16,53 +16,20 @@
 //! geometry, and requires the spliced history to match a run that never
 //! crashed — resharding on restart is invisible.
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
+mod common;
+
+use common::{build_fleet, history_of, History};
+use sage_repro::crypto::DhGroup;
 use sage_repro::evidence::FreshnessPolicy;
-use sage_repro::gpu::{Device, DeviceConfig};
-use sage_repro::service::{AttestationService, LinkProfile, ServiceConfig, SimNet};
-use sage_repro::sgx::{Enclave, SgxPlatform};
-use sage_repro::vf::VfParams;
+use sage_repro::service::{AttestationService, ServiceConfig};
 
 /// The shard/worker grid every scenario sweeps. `(1, 0)` is the
 /// baseline cell the rest must reproduce.
 const GRID: [(usize, usize); 6] = [(1, 0), (1, 8), (4, 0), (4, 2), (16, 2), (16, 8)];
 
 const DEVICES: usize = 12;
+const VERIFIER: &[u8] = b"sharded-verifier";
 const HORIZON: u64 = 120_000;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-/// A modeled fleet member: the checksum comes from the replay engine
-/// and timing is synthesized, so a twelve-device fleet runs the whole
-/// matrix in seconds while exercising the full wire/crypto/lifecycle
-/// path.
-fn member(index: usize, seed: u64) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
-    let agent_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(3) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(agent_seed))));
-    m.name = format!("gpu-{index:02}");
-    m
-}
-
-fn enclave(index: usize, seed: u64) -> Enclave {
-    let enclave_seed = (seed as u8).wrapping_add(index as u8).wrapping_mul(5) | 1;
-    SgxPlatform::new([7u8; 16]).launch(b"sharded-verifier", &mut entropy(enclave_seed))
-}
 
 fn config(shards: usize, workers: usize) -> ServiceConfig {
     ServiceConfig {
@@ -78,47 +45,8 @@ fn config(shards: usize, workers: usize) -> ServiceConfig {
     }
 }
 
-fn build_fleet(shards: usize, workers: usize, seed: u64) -> AttestationService<SimNet> {
-    let net = SimNet::new(
-        seed,
-        LinkProfile {
-            latency: 100,
-            jitter: 25,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    );
-    let mut svc = AttestationService::new(config(shards, workers), DhGroup::test_group(), net);
-    for i in 0..DEVICES {
-        svc.join(member(i, seed), enclave(i, seed));
-    }
-    svc
-}
-
-/// Everything the determinism contract covers, in comparable form:
-/// snapshot bytes (clock, per-device durable state, sealed epochs,
-/// event log, counters) plus each device's evidence head and length.
-struct History {
-    snapshot: Vec<u8>,
-    heads: Vec<(String, [u8; 32], u64)>,
-    events_json: String,
-}
-
-fn history_of(svc: &AttestationService<SimNet>) -> History {
-    let mut heads = Vec::new();
-    for s in svc.statuses() {
-        let chain = svc.evidence_of(&s.name).expect("evidence chain");
-        heads.push((s.name.clone(), chain.head(), chain.records().len() as u64));
-    }
-    History {
-        snapshot: svc.snapshot(),
-        heads,
-        events_json: svc.log().to_json(),
-    }
-}
-
 fn run_history(shards: usize, workers: usize, seed: u64) -> History {
-    let mut svc = build_fleet(shards, workers, seed);
+    let mut svc = build_fleet(config(shards, workers), DEVICES, VERIFIER, seed);
     svc.run_until(HORIZON);
     history_of(&svc)
 }
@@ -167,7 +95,7 @@ fn crash_and_resharded_restore_mid_epoch_is_invisible() {
     for seed in [1u64, 2, 3] {
         let base = run_history(1, 0, seed);
         for (shards, workers) in [(4, 2), (16, 8)] {
-            let mut first = build_fleet(1, 0, seed);
+            let mut first = build_fleet(config(1, 0), DEVICES, VERIFIER, seed);
             first.run_until(CRASH_AT);
             let bytes = first.snapshot();
             let (net, endpoints) = first.into_endpoints();
@@ -195,8 +123,8 @@ fn snapshots_agree_at_every_epoch_boundary() {
     // steps and require the full state to agree at each boundary, so a
     // transient divergence cannot cancel out by the horizon.
     let seed = 2u64;
-    let mut base = build_fleet(1, 0, seed);
-    let mut wide = build_fleet(16, 8, seed);
+    let mut base = build_fleet(config(1, 0), DEVICES, VERIFIER, seed);
+    let mut wide = build_fleet(config(16, 8), DEVICES, VERIFIER, seed);
     for checkpoint in (30_000..=HORIZON).step_by(30_000) {
         base.run_until(checkpoint);
         wide.run_until(checkpoint);

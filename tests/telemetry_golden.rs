@@ -15,38 +15,14 @@
 
 use std::path::Path;
 
-use sage_repro::attacks::forge::ReplayTap;
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
-use sage_repro::gpu::{Device, DeviceConfig};
-use sage_repro::service::{AttestationService, LinkProfile, Policy, ServiceConfig, SimNet};
-use sage_repro::sgx::{Enclave, SgxPlatform};
+mod common;
+
+use common::{compromise_with_replay, enclave, perfect_net, SVC};
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::DhGroup;
+use sage_repro::gpu::DeviceConfig;
+use sage_repro::service::{AttestationService, Policy, ServiceConfig};
 use sage_repro::telemetry::Registry;
-use sage_repro::vf::VfParams;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-fn member(name: &str, seed: u8) -> FleetMember {
-    let mut params = VfParams::test_tiny();
-    params.iterations = 5;
-    let session =
-        GpuSession::install(Device::new(DeviceConfig::sim_tiny()), &params, 0xF1EE7).unwrap();
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = name.to_string();
-    m
-}
-
-fn enclave(seed: u8) -> Enclave {
-    SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(seed))
-}
 
 /// Runs the canonical deterministic scenario and returns its registry:
 /// two devices enroll and attest (bank-hit fast path, synchronous
@@ -54,15 +30,7 @@ fn enclave(seed: u8) -> Enclave {
 /// through value rejects into quarantine — so accept, reject, bank,
 /// simulator and service series are all populated.
 fn deterministic_registry() -> Registry {
-    let net = SimNet::new(
-        42,
-        LinkProfile {
-            latency: 100,
-            jitter: 0,
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-        },
-    );
+    let net = perfect_net(42);
     let cfg = ServiceConfig {
         reattest_interval: 20_000,
         latency_budget: 200,
@@ -80,17 +48,19 @@ fn deterministic_registry() -> Registry {
     let reg = Registry::new();
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
     svc.attach_telemetry(&reg);
-    svc.join(member("gpu-a", 41), enclave(61));
-    svc.join(member("gpu-b", 42), enclave(62));
+    svc.join(
+        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
+        enclave(SVC, 61),
+    );
+    svc.join(
+        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
+        enclave(SVC, 62),
+    );
     svc.run_for(45_000);
 
     // Post-enrollment compromise: every later readback from gpu-b
     // replays a stale answer against a fresh challenge.
-    let session = svc.session_mut("gpu-b").expect("gpu-b is managed");
-    let result_addr = session.build().layout.result_addr();
-    session
-        .dev
-        .install_bus_tap(Box::new(ReplayTap::new(result_addr)));
+    compromise_with_replay(&mut svc, "gpu-b");
     svc.run_for(200_000);
     reg
 }

@@ -10,47 +10,28 @@
 //! time freezes while a round is outstanding and resumed links replay
 //! the round at its original tick.
 
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::DhGroup;
-use sage_repro::gpu::{Device, DeviceConfig};
+mod common;
+
+use common::with_timeout;
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::service::{
     AttestationService, Bind, ChaosProfile, ChaosProxy, ClockDriver, DeviceLink, DeviceLinkConfig,
     DeviceState, LinkConfig, Pump, ServiceConfig, TcpTransport,
 };
 use sage_repro::sgx::SgxPlatform;
-use sage_repro::vf::VfParams;
 
 const HONEST: usize = 3;
 const CHEATER: usize = HONEST; // index of the compromised device
 const DEVICES: usize = HONEST + 1;
 const TARGET_ROUNDS: u64 = 3;
 
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
 fn modeled_member(index: usize) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
     let seed = (index as u8).wrapping_mul(3).wrapping_add(11) | 1;
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = format!("gpu-{index:05}");
-    m
+    FleetMember::modeled(format!("gpu-{index:05}"), seed)
 }
 
 struct RunResult {
@@ -126,7 +107,7 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
     let platform = SgxPlatform::new([7u8; 16]);
     for (name, stream) in pending {
         let index: usize = name[4..].parse().expect("gpu-NNNNN name");
-        let enclave = platform.launch(b"chaos-verifier", &mut entropy(23));
+        let enclave = platform.launch(b"chaos-verifier", &mut test_entropy(23));
         svc.join_remote(modeled_member(index), enclave, stream);
     }
 
@@ -198,18 +179,6 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
     drop(proxy);
     let _ = std::fs::remove_dir_all(&dir);
     result
-}
-
-fn with_timeout<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => h.join().unwrap(),
-        Err(_) => panic!("harness timeout: chaos acceptance exceeded {secs}s"),
-    }
 }
 
 #[test]

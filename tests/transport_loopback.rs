@@ -4,59 +4,18 @@
 //! round and lands `Trusted`, all inside a hard harness timeout so a
 //! deadlocked supervision thread fails the suite instead of hanging it.
 
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::DhGroup;
-use sage_repro::gpu::{Device, DeviceConfig};
+mod common;
+
+use common::with_timeout;
+use sage_repro::core::multi::FleetMember;
+use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::service::{
     AttestationService, Bind, ClockDriver, DeviceLink, DeviceLinkConfig, DeviceState, LinkConfig,
     Pump, ServiceConfig, TcpTransport,
 };
 use sage_repro::sgx::SgxPlatform;
-use sage_repro::vf::VfParams;
-
-fn entropy(seed: u8) -> impl FnMut(&mut [u8]) {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
-
-/// A modeled device (replay-engine checksums, synthesized timing): the
-/// same build installed on both the device side and the verifier's
-/// local twin, so replayed checksums match across the socket.
-fn modeled_member(index: usize, seed: u8) -> FleetMember {
-    let session = GpuSession::install_modeled(
-        Device::new(DeviceConfig::sim_nano()),
-        &VfParams::fleet_tiny(),
-        0xF1EE7,
-        10_000,
-    )
-    .expect("install modeled VF");
-    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
-    m.name = format!("gpu-{index:05}");
-    m
-}
-
-/// Runs `f` on a worker thread and panics if it does not finish within
-/// `secs` — the suite must never hang on a wedged socket thread.
-fn with_timeout<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => h.join().unwrap(),
-        Err(_) => panic!("harness timeout: loopback run exceeded {secs}s"),
-    }
-}
 
 #[test]
 fn uds_loopback_enrolls_and_attests_one_round() {
@@ -74,7 +33,7 @@ fn uds_loopback_enrolls_and_attests_one_round() {
         let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
 
         let link = DeviceLink::spawn(
-            modeled_member(0, 11),
+            FleetMember::modeled("gpu-00000", 11),
             DhGroup::test_group(),
             DeviceLinkConfig {
                 connect: Bind::Uds(sock.clone()),
@@ -101,8 +60,8 @@ fn uds_loopback_enrolls_and_attests_one_round() {
             if driver.run_until(&mut svc, target) == Pump::Enrolls {
                 while let Some((name, stream)) = svc.transport_mut().take_pending_enroll() {
                     assert_eq!(name, "gpu-00000");
-                    let enclave = platform.launch(b"loop-verifier", &mut entropy(23));
-                    svc.join_remote(modeled_member(0, 11), enclave, stream);
+                    let enclave = platform.launch(b"loop-verifier", &mut test_entropy(23));
+                    svc.join_remote(FleetMember::modeled("gpu-00000", 11), enclave, stream);
                     joined += 1;
                 }
             }
