@@ -97,4 +97,12 @@ cargo run -q --release -p sage-bench --bin soak -- \
     --out /tmp/BENCH_soak_smoke.json
 test -s /tmp/BENCH_soak_smoke.json
 
+# The smoke run's .prom is seed 7's uninterrupted registry; the same
+# seed run alone must export the same bytes.
+echo "==> soak .prom reproducibility (seed 7 rerun, byte-compared)"
+cargo run -q --release -p sage-bench --bin soak -- \
+    --seeds 7 --ticks 400000 --devices 2 \
+    --out /tmp/BENCH_soak_rerun.json
+cmp /tmp/BENCH_soak_smoke.prom /tmp/BENCH_soak_rerun.prom
+
 echo "ci.sh: all gates passed"

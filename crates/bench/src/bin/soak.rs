@@ -52,6 +52,9 @@ const CHAOS_RUNS: u64 = 5;
 fn soak_cfg() -> ServiceConfig {
     let mut cfg = ServiceConfig::default();
     cfg.policy.restart_on_timeout = true;
+    // Synchronous bank refills: a background refill thread races the
+    // round loop, and the written `.prom` would differ run to run.
+    cfg.bank_workers = 0;
     cfg
 }
 
@@ -249,10 +252,11 @@ fn run_soak(seed: u64, devices: usize, ticks: u64, crash: bool) -> SoakRun {
         tally.stalls += counters.stalls;
         tally.skews += counters.skews;
     }
-    // Attached after the horizon: the event log replays its full
-    // history into the registry, so the `service_*` series describe the
-    // whole universe — including, in the crash twin, everything from
-    // before the restore.
+    // Attached after the horizon: the registry exports the event log's
+    // own counter ledger, so the `service_*` series describe the whole
+    // universe — in the crash twin, the ledger carried across the
+    // restore. (The log is unbounded here, so the latency histogram the
+    // restore rebuilds from the retained window covers every round too.)
     let reg = Registry::new();
     svc.attach_telemetry(&reg);
     SoakRun { svc, tally, reg }

@@ -1,5 +1,7 @@
-//! Structured event log and counters — the control plane's observability
-//! surface, exported as JSON for dashboards and the `svcperf` benchmark.
+//! Structured event log and its counter ledger — the control plane's
+//! observability surface, exported as JSON for dashboards and the
+//! `svcperf` benchmark, and as `service_*` series on a telemetry
+//! registry.
 
 use std::collections::HashMap;
 
@@ -153,7 +155,8 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Aggregate counters, maintained as events are recorded.
+/// Aggregate counters: the dashboard view of the log's counter ledger
+/// (see [`EventLog::counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Devices that joined.
@@ -197,42 +200,117 @@ pub struct Counters {
 }
 
 // A counter added to the struct but not to the field table would be
-// silently dropped from the JSON and the snapshot; this fails the build.
+// silently dropped from the JSON; this fails the build.
 const _: () = assert!(std::mem::size_of::<Counters>() == 19 * 8);
 
 impl Counters {
-    /// Every counter as `(name, value)`, in declaration order: the one
-    /// field table the JSON rendering and the snapshot codec share.
+    /// Every counter as `(name, value)`, in declaration order: the
+    /// field table the JSON rendering walks.
     pub fn fields(&self) -> [(&'static str, u64); 19] {
-        let mut c = *self;
-        c.fields_mut().map(|(name, v)| (name, *v))
-    }
-
-    /// Every counter as `(name, &mut value)`, in [`Counters::fields`]
-    /// order.
-    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 19] {
         [
-            ("joins", &mut self.joins),
-            ("leaves", &mut self.leaves),
-            ("rounds_started", &mut self.rounds_started),
-            ("rounds_passed", &mut self.rounds_passed),
-            ("value_rejects", &mut self.value_rejects),
-            ("timing_rejects", &mut self.timing_rejects),
-            ("timeouts", &mut self.timeouts),
-            ("restarts", &mut self.restarts),
-            ("late_responses", &mut self.late_responses),
-            ("quarantines", &mut self.quarantines),
-            ("calibration_failures", &mut self.calibration_failures),
-            ("freshness_transitions", &mut self.freshness_transitions),
-            ("epochs_sealed", &mut self.epochs_sealed),
-            ("link_downs", &mut self.link_downs),
-            ("link_resumes", &mut self.link_resumes),
-            ("spotcheck_skips", &mut self.spotcheck_skips),
-            ("quorum_disputes", &mut self.quorum_disputes),
-            ("verifier_suspects", &mut self.verifier_suspects),
-            ("relay_rejects", &mut self.relay_rejects),
+            ("joins", self.joins),
+            ("leaves", self.leaves),
+            ("rounds_started", self.rounds_started),
+            ("rounds_passed", self.rounds_passed),
+            ("value_rejects", self.value_rejects),
+            ("timing_rejects", self.timing_rejects),
+            ("timeouts", self.timeouts),
+            ("restarts", self.restarts),
+            ("late_responses", self.late_responses),
+            ("quarantines", self.quarantines),
+            ("calibration_failures", self.calibration_failures),
+            ("freshness_transitions", self.freshness_transitions),
+            ("epochs_sealed", self.epochs_sealed),
+            ("link_downs", self.link_downs),
+            ("link_resumes", self.link_resumes),
+            ("spotcheck_skips", self.spotcheck_skips),
+            ("quorum_disputes", self.quorum_disputes),
+            ("verifier_suspects", self.verifier_suspects),
+            ("relay_rejects", self.relay_rejects),
         ]
     }
+}
+
+// The counter ledger: one slot per exported series, in [`SERIES`] (and
+// snapshot) order.
+const JOINED: usize = 0;
+const LEFT: usize = 1;
+const STARTED: usize = 2;
+const PASSED: usize = 3;
+/// First of the five `rounds_failed{reason}` slots, in [`FailReason`]
+/// discriminant order.
+const FAILED: usize = 4;
+const RESTARTS: usize = 9;
+const LATE: usize = 10;
+const QUARANTINES: usize = 11;
+const CALIBRATION_FAILURES: usize = 12;
+/// First of the three `freshness_transitions{to}` slots, in
+/// [`Freshness::tag`] order.
+const FRESHNESS: usize = 13;
+const EPOCHS_SEALED: usize = 16;
+const LINK_DOWNS: usize = 17;
+const LINK_RESUMES: usize = 18;
+const SPOTCHECK_SKIPS: usize = 19;
+const QUORUM_DISPUTES: usize = 20;
+const VERIFIER_SUSPECTS: usize = 21;
+const EVENTS_DROPPED: usize = 22;
+
+/// Number of counter-ledger slots ([`EventLog::ledger`]).
+pub const LEDGER_SLOTS: usize = 23;
+
+type Series = (&'static str, &'static [(&'static str, &'static str)]);
+
+/// The registry series each ledger slot is exported as.
+const SERIES: [Series; LEDGER_SLOTS] = [
+    ("service_devices_joined_total", &[]),
+    ("service_devices_left_total", &[]),
+    ("service_rounds_started_total", &[]),
+    ("service_rounds_passed_total", &[]),
+    ("service_rounds_failed_total", &[("reason", "wrong_value")]),
+    ("service_rounds_failed_total", &[("reason", "too_slow")]),
+    ("service_rounds_failed_total", &[("reason", "timeout")]),
+    ("service_rounds_failed_total", &[("reason", "link_down")]),
+    ("service_rounds_failed_total", &[("reason", "relay")]),
+    ("service_restarts_total", &[]),
+    ("service_late_responses_total", &[]),
+    ("service_quarantines_total", &[]),
+    ("service_calibration_failures_total", &[]),
+    ("service_freshness_transitions_total", &[("to", "trusted")]),
+    ("service_freshness_transitions_total", &[("to", "stale")]),
+    ("service_freshness_transitions_total", &[("to", "degraded")]),
+    ("service_epochs_sealed_total", &[]),
+    ("service_link_downs_total", &[]),
+    ("service_link_resumes_total", &[]),
+    ("service_spotcheck_skips_total", &[]),
+    ("service_quorum_disputes_total", &[]),
+    ("service_verifier_suspects_total", &[]),
+    ("service_events_dropped_total", &[]),
+];
+
+/// The ledger slot an event counts into, if it counts at all.
+fn slot_of(kind: &EventKind) -> Option<usize> {
+    Some(match kind {
+        EventKind::Joined => JOINED,
+        EventKind::Left => LEFT,
+        EventKind::CalibrationFailed => CALIBRATION_FAILURES,
+        EventKind::StateChanged {
+            to: DeviceState::Quarantined,
+            ..
+        } => QUARANTINES,
+        EventKind::EstablishFailed | EventKind::StateChanged { .. } => return None,
+        EventKind::RoundStarted { .. } => STARTED,
+        EventKind::RoundPassed { .. } => PASSED,
+        EventKind::RoundFailed { reason, .. } => FAILED + *reason as usize,
+        EventKind::Restarted { .. } => RESTARTS,
+        EventKind::LateResponse { .. } => LATE,
+        EventKind::FreshnessChanged { to, .. } => FRESHNESS + to.tag() as usize,
+        EventKind::EpochSealed { .. } => EPOCHS_SEALED,
+        EventKind::LinkDown => LINK_DOWNS,
+        EventKind::LinkResumed => LINK_RESUMES,
+        EventKind::SpotCheckSkipped { .. } => SPOTCHECK_SKIPS,
+        EventKind::QuorumDisputed { .. } => QUORUM_DISPUTES,
+        EventKind::VerifierSuspected { .. } => VERIFIER_SUSPECTS,
+    })
 }
 
 /// Round-latency distribution over passed rounds, in virtual ticks
@@ -288,114 +366,24 @@ impl OpenRounds {
     }
 }
 
-/// The telemetry sink mirroring [`Counters`] into registry series,
-/// plus a virtual-tick round-latency histogram fed by pairing each
-/// `RoundStarted` with its `RoundPassed` (the same pairing
-/// [`EventLog::round_latencies`] computes after the fact).
-struct LogTelemetry {
-    joins: Counter,
-    leaves: Counter,
-    rounds_started: Counter,
-    rounds_passed: Counter,
-    /// Failures by [`FailReason`] discriminant order.
-    round_failed: [Counter; 5],
-    restarts: Counter,
-    late_responses: Counter,
-    quarantines: Counter,
-    calibration_failures: Counter,
-    /// Freshness transitions by destination level ([`Freshness`]
-    /// discriminant order: trusted, stale, degraded).
-    freshness_transitions: [Counter; 3],
-    epochs_sealed: Counter,
-    link_downs: Counter,
-    link_resumes: Counter,
-    spotcheck_skips: Counter,
-    quorum_disputes: Counter,
-    verifier_suspects: Counter,
-    /// Events evicted from the bounded in-memory ring.
-    events_dropped: Counter,
-    round_latency: Histogram,
-    open_rounds: OpenRounds,
-}
-
-impl LogTelemetry {
-    fn new(reg: &Registry) -> LogTelemetry {
-        LogTelemetry {
-            joins: reg.counter("service_devices_joined_total", &[]),
-            leaves: reg.counter("service_devices_left_total", &[]),
-            rounds_started: reg.counter("service_rounds_started_total", &[]),
-            rounds_passed: reg.counter("service_rounds_passed_total", &[]),
-            round_failed: [
-                FailReason::WrongValue,
-                FailReason::TooSlow,
-                FailReason::Timeout,
-                FailReason::LinkDown,
-                FailReason::Relay,
-            ]
-            .map(|r| reg.counter("service_rounds_failed_total", &[("reason", r.as_str())])),
-            restarts: reg.counter("service_restarts_total", &[]),
-            late_responses: reg.counter("service_late_responses_total", &[]),
-            quarantines: reg.counter("service_quarantines_total", &[]),
-            calibration_failures: reg.counter("service_calibration_failures_total", &[]),
-            freshness_transitions: [Freshness::Trusted, Freshness::Stale, Freshness::Degraded]
-                .map(|l| reg.counter("service_freshness_transitions_total", &[("to", l.as_str())])),
-            epochs_sealed: reg.counter("service_epochs_sealed_total", &[]),
-            link_downs: reg.counter("service_link_downs_total", &[]),
-            link_resumes: reg.counter("service_link_resumes_total", &[]),
-            spotcheck_skips: reg.counter("service_spotcheck_skips_total", &[]),
-            quorum_disputes: reg.counter("service_quorum_disputes_total", &[]),
-            verifier_suspects: reg.counter("service_verifier_suspects_total", &[]),
-            events_dropped: reg.counter("service_events_dropped_total", &[]),
-            round_latency: reg.histogram("service_round_latency_ticks", &[]),
-            open_rounds: OpenRounds::default(),
-        }
-    }
-
-    fn observe(&mut self, at: u64, device: &str, kind: &EventKind) {
-        if let Some(latency) = self.open_rounds.observe(at, device, kind) {
-            self.round_latency.record(latency);
-        }
-        match kind {
-            EventKind::Joined => self.joins.inc(),
-            EventKind::Left => self.leaves.inc(),
-            EventKind::CalibrationFailed => self.calibration_failures.inc(),
-            EventKind::EstablishFailed => {}
-            EventKind::StateChanged { to, .. } => {
-                if *to == DeviceState::Quarantined {
-                    self.quarantines.inc();
-                }
-            }
-            EventKind::RoundStarted { .. } => self.rounds_started.inc(),
-            EventKind::RoundPassed { .. } => self.rounds_passed.inc(),
-            EventKind::RoundFailed { reason, .. } => self.round_failed[*reason as usize].inc(),
-            EventKind::Restarted { .. } => self.restarts.inc(),
-            EventKind::LateResponse { .. } => self.late_responses.inc(),
-            EventKind::FreshnessChanged { to, .. } => {
-                self.freshness_transitions[to.tag() as usize].inc()
-            }
-            EventKind::EpochSealed { .. } => self.epochs_sealed.inc(),
-            EventKind::LinkDown => self.link_downs.inc(),
-            EventKind::LinkResumed => self.link_resumes.inc(),
-            EventKind::SpotCheckSkipped { .. } => self.spotcheck_skips.inc(),
-            EventKind::QuorumDisputed { .. } => self.quorum_disputes.inc(),
-            EventKind::VerifierSuspected { .. } => self.verifier_suspects.inc(),
-        }
-    }
-}
-
-/// The event log: append-order events plus derived counters. With a
+/// The event log: append-order events plus the counter ledger. With a
 /// capacity set it becomes a ring — only the most recent `capacity`
 /// events stay resident (a 10k-device fleet would otherwise grow the
-/// log without bound), while the counters keep counting everything.
+/// log without bound), while the ledger keeps counting everything.
 #[derive(Default)]
 pub struct EventLog {
     events: Vec<Event>,
-    counters: Counters,
-    sink: Option<LogTelemetry>,
+    /// Every count the log keeps, one counter per exported series —
+    /// the single source of [`EventLog::counters`], the snapshot and
+    /// the registry's `service_*_total` series.
+    ledger: [Counter; LEDGER_SLOTS],
+    /// Passed-round latency in virtual ticks, fed by pairing each
+    /// `RoundStarted` with its `RoundPassed` (the same pairing
+    /// [`EventLog::round_latencies`] computes after the fact).
+    round_latency: Histogram,
+    open_rounds: OpenRounds,
     /// Retained-event bound; `0` = unbounded (the historical default).
     capacity: usize,
-    /// Events evicted by the ring so far.
-    events_dropped: u64,
 }
 
 impl EventLog {
@@ -416,76 +404,55 @@ impl EventLog {
     }
 
     /// Rebuilds a log from snapshot parts: the retained event window
-    /// plus the authoritative counters and drop count. Nothing is
-    /// replayed through [`EventLog::record`]: once the ring has wrapped,
-    /// the retained window no longer determines the counters, so they
-    /// must be carried explicitly.
+    /// plus the whole counter ledger ([`EventLog::ledger`]). The
+    /// counters are carried, not replayed: once the ring has wrapped,
+    /// the retained window no longer determines them. The latency
+    /// histogram is the one series rebuilt from the window.
     pub fn restore_parts(
         events: Vec<Event>,
-        counters: Counters,
-        events_dropped: u64,
+        ledger: [u64; LEDGER_SLOTS],
         capacity: usize,
     ) -> EventLog {
-        EventLog {
+        let mut log = EventLog {
             events,
-            counters,
-            sink: None,
             capacity,
-            events_dropped,
+            ..EventLog::default()
+        };
+        for (counter, total) in log.ledger.iter().zip(ledger) {
+            counter.add(total);
         }
-    }
-
-    /// Attaches the log to a telemetry registry: counters are exported
-    /// as `service_*_total` series and passed-round latencies feed a
-    /// `service_round_latency_ticks` histogram (virtual ticks —
-    /// deterministic for a fixed seed). Events already in the log are
-    /// replayed through the sink first, so attaching after a
-    /// crash-restore produces the same series as never having stopped.
-    pub fn attach_telemetry(&mut self, reg: &Registry) {
-        let mut sink = LogTelemetry::new(reg);
-        for e in &self.events {
-            sink.observe(e.at, &e.device, &e.kind);
-        }
-        sink.events_dropped.add(self.events_dropped);
-        self.sink = Some(sink);
-    }
-
-    /// Appends an event and updates the derived counters.
-    pub fn record(&mut self, at: u64, device: &str, kind: EventKind) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.observe(at, device, &kind);
-        }
-        match &kind {
-            EventKind::Joined => self.counters.joins += 1,
-            EventKind::Left => self.counters.leaves += 1,
-            EventKind::CalibrationFailed => self.counters.calibration_failures += 1,
-            EventKind::EstablishFailed => {}
-            EventKind::StateChanged { to, .. } => {
-                if *to == DeviceState::Quarantined {
-                    self.counters.quarantines += 1;
-                }
+        for e in &log.events {
+            if let Some(latency) = log.open_rounds.observe(e.at, &e.device, &e.kind) {
+                log.round_latency.record(latency);
             }
-            EventKind::RoundStarted { .. } => self.counters.rounds_started += 1,
-            EventKind::RoundPassed { .. } => self.counters.rounds_passed += 1,
-            EventKind::RoundFailed { reason, .. } => match reason {
-                FailReason::WrongValue => self.counters.value_rejects += 1,
-                FailReason::TooSlow => self.counters.timing_rejects += 1,
-                FailReason::Timeout => self.counters.timeouts += 1,
-                // Deliberately not folded into `timeouts`: dashboards
-                // must tell a flapping link from a hung device. The
-                // link itself is counted by `link_downs`.
-                FailReason::LinkDown => {}
-                FailReason::Relay => self.counters.relay_rejects += 1,
-            },
-            EventKind::Restarted { .. } => self.counters.restarts += 1,
-            EventKind::LateResponse { .. } => self.counters.late_responses += 1,
-            EventKind::FreshnessChanged { .. } => self.counters.freshness_transitions += 1,
-            EventKind::EpochSealed { .. } => self.counters.epochs_sealed += 1,
-            EventKind::LinkDown => self.counters.link_downs += 1,
-            EventKind::LinkResumed => self.counters.link_resumes += 1,
-            EventKind::SpotCheckSkipped { .. } => self.counters.spotcheck_skips += 1,
-            EventKind::QuorumDisputed { .. } => self.counters.quorum_disputes += 1,
-            EventKind::VerifierSuspected { .. } => self.counters.verifier_suspects += 1,
+        }
+        log
+    }
+
+    /// Exports the log on a telemetry registry: each ledger slot as its
+    /// `service_*_total` series and passed-round latencies as the
+    /// `service_round_latency_ticks` histogram (virtual ticks —
+    /// deterministic for a fixed seed). The registry shares the log's
+    /// own instruments, so a log attached late or after a crash-restore
+    /// exports everything it has counted.
+    pub fn attach_telemetry(&self, reg: &Registry) {
+        for ((name, labels), counter) in SERIES.iter().zip(&self.ledger) {
+            reg.register_counter(name, labels, counter.clone());
+        }
+        reg.register_histogram(
+            "service_round_latency_ticks",
+            &[],
+            self.round_latency.clone(),
+        );
+    }
+
+    /// Appends an event and counts it.
+    pub fn record(&mut self, at: u64, device: &str, kind: EventKind) {
+        if let Some(latency) = self.open_rounds.observe(at, device, &kind) {
+            self.round_latency.record(latency);
+        }
+        if let Some(slot) = slot_of(&kind) {
+            self.ledger[slot].inc();
         }
         self.events.push(Event {
             at,
@@ -495,10 +462,7 @@ impl EventLog {
         if self.capacity > 0 && self.events.len() >= self.capacity * 2 {
             let drop = self.events.len() - self.capacity;
             self.events.drain(..drop);
-            self.events_dropped += drop as u64;
-            if let Some(sink) = self.sink.as_mut() {
-                sink.events_dropped.add(drop as u64);
-            }
+            self.ledger[EVENTS_DROPPED].add(drop as u64);
         }
     }
 
@@ -513,7 +477,13 @@ impl EventLog {
     /// wrapped). Exported as `service_events_dropped_total` when
     /// telemetry is attached.
     pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
+        self.ledger[EVENTS_DROPPED].get()
+    }
+
+    /// Every ledger slot's total, in export (and snapshot) order — what
+    /// [`EventLog::restore_parts`] takes back.
+    pub fn ledger(&self) -> [u64; LEDGER_SLOTS] {
+        std::array::from_fn(|slot| self.ledger[slot].get())
     }
 
     /// The configured retained-event bound (`0` = unbounded).
@@ -539,25 +509,23 @@ impl EventLog {
     ///
     /// Once the bounded ring has wrapped, the retained events no longer
     /// cover every passed round, so the exact per-event computation
-    /// would silently report a recent-window artifact. With telemetry
-    /// attached the query falls back to the registry's
-    /// `service_round_latency_ticks` histogram, which observed every
-    /// round (interpolated log2-bucket percentiles); without a sink it
-    /// degrades to the retained window.
+    /// would silently report a recent-window artifact. The query then
+    /// falls back to the `service_round_latency_ticks` histogram, which
+    /// observed every round since the log was created — or, for a
+    /// restored log, since its oldest retained event (interpolated
+    /// log2-bucket percentiles).
     pub fn latency_percentiles(&self) -> Option<LatencyPercentiles> {
-        if self.events_dropped > 0 {
-            if let Some(sink) = &self.sink {
-                let snap = sink.round_latency.snapshot();
-                if snap.count() == 0 {
-                    return None;
-                }
-                return Some(LatencyPercentiles {
-                    samples: snap.count() as usize,
-                    p50: snap.percentile(0.50)?,
-                    p90: snap.percentile(0.90)?,
-                    p99: snap.percentile(0.99)?,
-                });
+        if self.events_dropped() > 0 {
+            let snap = self.round_latency.snapshot();
+            if snap.count() == 0 {
+                return None;
             }
+            return Some(LatencyPercentiles {
+                samples: snap.count() as usize,
+                p50: snap.percentile(0.50)?,
+                p90: snap.percentile(0.90)?,
+                p99: snap.percentile(0.99)?,
+            });
         }
         let mut lat = self.round_latencies();
         if lat.is_empty() {
@@ -577,15 +545,40 @@ impl EventLog {
         })
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot, read off the ledger.
     pub fn counters(&self) -> Counters {
-        self.counters
+        let n = |slot: usize| self.ledger[slot].get();
+        let failed = |reason: FailReason| n(FAILED + reason as usize);
+        Counters {
+            joins: n(JOINED),
+            leaves: n(LEFT),
+            rounds_started: n(STARTED),
+            rounds_passed: n(PASSED),
+            value_rejects: failed(FailReason::WrongValue),
+            timing_rejects: failed(FailReason::TooSlow),
+            // Link-down failures are deliberately not folded into
+            // `timeouts`: dashboards must tell a flapping link from a
+            // hung device. The link itself is counted by `link_downs`.
+            timeouts: failed(FailReason::Timeout),
+            restarts: n(RESTARTS),
+            late_responses: n(LATE),
+            quarantines: n(QUARANTINES),
+            calibration_failures: n(CALIBRATION_FAILURES),
+            freshness_transitions: (FRESHNESS..FRESHNESS + 3).map(n).sum(),
+            epochs_sealed: n(EPOCHS_SEALED),
+            link_downs: n(LINK_DOWNS),
+            link_resumes: n(LINK_RESUMES),
+            spotcheck_skips: n(SPOTCHECK_SKIPS),
+            quorum_disputes: n(QUORUM_DISPUTES),
+            verifier_suspects: n(VERIFIER_SUSPECTS),
+            relay_rejects: failed(FailReason::Relay),
+        }
     }
 
     /// Renders the counters as a JSON object (no trailing newline).
     pub fn counters_json(&self) -> String {
         let fields: Vec<String> = self
-            .counters
+            .counters()
             .fields()
             .iter()
             .map(|(name, v)| format!("\"{name}\": {v}"))
@@ -771,7 +764,7 @@ mod tests {
         let reg = Registry::new();
         let mut log = EventLog::new();
         log.attach_telemetry(&reg);
-        let open = |log: &EventLog| log.sink.as_ref().unwrap().open_rounds.0.len();
+        let open = |log: &EventLog| log.open_rounds.0.len();
         let devices = ["d0", "d1", "d2", "d3", "d4", "d5", "d6"];
         let reasons = [
             FailReason::WrongValue,
@@ -985,21 +978,57 @@ mod tests {
         );
     }
 
+    /// A restored log exports what it counted, not what its ring still
+    /// holds: the registry attached after a wrapped restore reads the
+    /// ledger, never a replay of the retained window.
     #[test]
     fn restore_parts_carries_counters_and_drops() {
-        let mut log = EventLog::with_capacity(3);
-        for round in 1..=10u64 {
+        use sage_telemetry::MetricValue;
+
+        let mut log = EventLog::with_capacity(4);
+        for round in 1..=12u64 {
             log.record(round, "a", EventKind::RoundStarted { round });
         }
-        let restored = EventLog::restore_parts(
-            log.events().to_vec(),
-            log.counters(),
-            log.events_dropped(),
-            log.capacity(),
-        );
+        assert!(log.events_dropped() > 0, "ring must have wrapped");
+        let restored = EventLog::restore_parts(log.events().to_vec(), log.ledger(), log.capacity());
         assert_eq!(restored.counters(), log.counters());
         assert_eq!(restored.events_dropped(), log.events_dropped());
         assert_eq!(restored.events(), log.events());
+        let reg = Registry::new();
+        restored.attach_telemetry(&reg);
+        let series = |name: &str| {
+            reg.collect()
+                .into_iter()
+                .find_map(|(n, _, v)| match v {
+                    MetricValue::Counter(c) if n == name => Some(c),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{name} registered"))
+        };
+        assert_eq!(series("service_rounds_started_total"), 12);
+        assert_eq!(series("service_events_dropped_total"), log.events_dropped());
+    }
+
+    /// The series table's labels are the enums' own export tags, in
+    /// the discriminant order `slot_of` indexes by.
+    #[test]
+    fn series_labels_follow_the_enum_tags() {
+        let reasons = [
+            FailReason::WrongValue,
+            FailReason::TooSlow,
+            FailReason::Timeout,
+            FailReason::LinkDown,
+            FailReason::Relay,
+        ];
+        for r in reasons {
+            assert_eq!(SERIES[FAILED + r as usize].1, &[("reason", r.as_str())]);
+        }
+        for f in [Freshness::Trusted, Freshness::Stale, Freshness::Degraded] {
+            assert_eq!(
+                SERIES[FRESHNESS + f.tag() as usize].1,
+                &[("to", f.as_str())]
+            );
+        }
     }
 
     #[test]

@@ -191,8 +191,6 @@ pub struct VerifierSet {
     replicas: Vec<VerifierReplica>,
     /// Verdicts put to a vote so far.
     pub rounds: u64,
-    /// Votes with at least one dissenting or invalid ballot.
-    pub disputes: u64,
 }
 
 impl VerifierSet {
@@ -220,7 +218,6 @@ impl VerifierSet {
         VerifierSet {
             replicas,
             rounds: 0,
-            disputes: 0,
         }
     }
 
@@ -357,9 +354,6 @@ impl VerifierSet {
                 invalid.push(rep.index);
             }
         }
-        if !dissenters.is_empty() {
-            self.disputes += 1;
-        }
         QuorumDecision {
             outcome: local,
             confirmed,
@@ -467,7 +461,6 @@ mod tests {
         assert_eq!((d.votes_accept, d.votes_reject), (5, 0));
         assert!(d.dissenters.is_empty() && d.invalid.is_empty());
         assert_eq!(set.rounds, 1);
-        assert_eq!(set.disputes, 0);
         assert!(set.honest_views_agree());
     }
 
@@ -480,7 +473,6 @@ mod tests {
         assert_eq!((d.votes_accept, d.votes_reject), (3, 1));
         assert_eq!(d.dissenters, vec![(2, StageVerdict::WrongValue)]);
         assert_eq!(d.newly_suspected, vec![2]);
-        assert_eq!(set.disputes, 1);
         assert!(set.replicas()[2].suspected);
         // Second dissent: still suspect, not newly so.
         let d2 = set.collect("gpu-01", 2, StageVerdict::Pass);

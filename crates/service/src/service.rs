@@ -530,9 +530,9 @@ impl<T: Transport> AttestationService<T> {
     /// into the same series, so the series count does not grow with
     /// the fleet. Per-device numbers come from [`Self::statuses`],
     /// [`Self::health_of`] and [`Self::verdicts_of`]. Devices joining
-    /// later are attached automatically. Attaching after a
-    /// crash-restore replays the restored event history into the sink
-    /// first, so the series match a service that never stopped.
+    /// later are attached automatically. The `service_*_total` series
+    /// are the event log's own counters, so a registry attached late or
+    /// after a crash-restore exports everything the service counted.
     pub fn attach_telemetry(&mut self, reg: &Registry) {
         self.log.attach_telemetry(reg);
         for &slot in &self.roster {

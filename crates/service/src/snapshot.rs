@@ -28,7 +28,7 @@ use sage_evidence::{derive_evidence_key, EvidenceChain, Freshness};
 
 use sage_vf::ReplayPool;
 
-use crate::events::{Counters, Event, EventKind, EventLog, FailReason};
+use crate::events::{Event, EventKind, EventLog, FailReason, LEDGER_SLOTS};
 use crate::net::{NodeId, Transport};
 use crate::node::DeviceNode;
 use crate::quorum::{VerifierBehavior, VerifierSet};
@@ -49,8 +49,12 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// verifier-quorum layer: per-replica vote state (behavior, suspect
 /// flag, dissent count, evidence-view digest), the outstanding round's
 /// dispatch time (the relay detector's wall anchor), and the
-/// sampling/quorum/relay counters and event kinds.
-const VERSION: u16 = 5;
+/// sampling/quorum/relay counters and event kinds. Version 6 stores the
+/// event log's whole counter ledger (one value per exported series,
+/// the drop count among them) in place of the counter block and drop
+/// count, so the per-reason and per-level series come back exactly,
+/// and drops the quorum's dispute count (the ledger counts disputes).
+const VERSION: u16 = 6;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -334,8 +338,9 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     for e in events {
         put_event(&mut out, e);
     }
-    put_counters(&mut out, &svc.log.counters());
-    put_u64(&mut out, svc.log.events_dropped());
+    for total in svc.log.ledger() {
+        put_u64(&mut out, total);
+    }
     // Verifier-quorum running state. Vote keys are not snapshotted:
     // they re-derive from the configured quorum seed on restore,
     // mirroring how device session keys survive in the endpoints.
@@ -344,7 +349,6 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
             out.push(1);
             put_u16(&mut out, set.len() as u16);
             put_u64(&mut out, set.rounds);
-            put_u64(&mut out, set.disputes);
             for rep in set.replicas() {
                 out.push(rep.behavior.tag());
                 out.push(u8::from(rep.suspected));
@@ -355,14 +359,6 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
         None => out.push(0),
     }
     out
-}
-
-/// Counters are encoded in [`Counters::fields`] order; the decoder
-/// reads them back in the same order.
-fn put_counters(out: &mut Vec<u8>, c: &Counters) {
-    for (_, v) in c.fields() {
-        put_u64(out, v);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -508,7 +504,6 @@ struct ReplicaRecord {
 /// The quorum's durable state, decoded from a snapshot.
 struct QuorumRecord {
     rounds: u64,
-    disputes: u64,
     replicas: Vec<ReplicaRecord>,
 }
 
@@ -519,8 +514,7 @@ struct Decoded {
     next_seal_at: Option<u64>,
     sealed_epochs: Vec<SealedEpoch>,
     events: Vec<Event>,
-    counters: Counters,
-    events_dropped: u64,
+    ledger: [u64; LEDGER_SLOTS],
     quorum: Option<QuorumRecord>,
 }
 
@@ -700,15 +694,13 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         };
         events.push(Event { at, device, kind });
     }
-    let mut counters = Counters::default();
-    for (_, v) in counters.fields_mut() {
-        *v = r.u64()?;
+    let mut ledger = [0u64; LEDGER_SLOTS];
+    for total in &mut ledger {
+        *total = r.u64()?;
     }
-    let events_dropped = r.u64()?;
     let quorum = if r.flag("quorum")? {
         let n = r.u16()? as usize;
         let rounds = r.u64()?;
-        let disputes = r.u64()?;
         let mut replicas = Vec::with_capacity(n);
         for _ in 0..n {
             let value = r.u8()?;
@@ -726,11 +718,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
                 view,
             });
         }
-        Some(QuorumRecord {
-            rounds,
-            disputes,
-            replicas,
-        })
+        Some(QuorumRecord { rounds, replicas })
     } else {
         None
     };
@@ -744,8 +732,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         next_seal_at,
         sealed_epochs,
         events,
-        counters,
-        events_dropped,
+        ledger,
         quorum,
     })
 }
@@ -831,12 +818,7 @@ pub(crate) fn restore<T: Transport>(
         .map(|e| EpochTree::build(&e.leaves))
         .unwrap_or_default();
     let worker_pool = (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers));
-    let log = EventLog::restore_parts(
-        decoded.events,
-        decoded.counters,
-        decoded.events_dropped,
-        cfg.event_capacity,
-    );
+    let log = EventLog::restore_parts(decoded.events, decoded.ledger, cfg.event_capacity);
     // The quorum rebuilds from the snapshot's replica count (vote keys
     // re-derive from the configured seed) and then re-imposes each
     // replica's durable state — behavior, suspect flag, dissent count,
@@ -845,7 +827,6 @@ pub(crate) fn restore<T: Transport>(
     let quorum = decoded.quorum.map(|q| {
         let mut set = VerifierSet::with_size(q.replicas.len() as u16, cfg.quorum.seed);
         set.rounds = q.rounds;
-        set.disputes = q.disputes;
         for (i, rep) in q.replicas.into_iter().enumerate() {
             set.restore_replica(i, rep.behavior, rep.suspected, rep.dissents, rep.view);
         }
@@ -949,16 +930,16 @@ mod tests {
         out.push(0); // next_seal_at
         put_u32(&mut out, 0); // sealed epochs
         put_u32(&mut out, 0); // events
-        put_counters(&mut out, &Counters::default());
-        put_u64(&mut out, 0); // events_dropped
+        for _ in 0..LEDGER_SLOTS {
+            put_u64(&mut out, 0); // counter ledger
+        }
         out.push(0); // quorum
         let d = decode(&out).unwrap();
         assert_eq!(d.now, 1234);
         assert_eq!(d.next_node, 7);
         assert!(d.devices.is_empty());
         assert!(d.events.is_empty());
-        assert_eq!(d.counters, Counters::default());
-        assert_eq!(d.events_dropped, 0);
+        assert_eq!(d.ledger, [0; LEDGER_SLOTS]);
         // Trailing garbage is rejected, not ignored.
         out.push(0);
         assert_eq!(decode(&out).err(), Some(SnapshotError::TrailingBytes));

@@ -37,7 +37,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -501,44 +501,40 @@ pub struct TransportStats {
     pub frames_tx: u64,
 }
 
+/// The transport's counters: the one ledger behind both
+/// [`TcpTransport::stats`] and the registry series
+/// [`TcpTransport::attach_telemetry`] exports.
 #[derive(Default)]
-struct AtomicStats {
-    accepted: AtomicU64,
-    enrolls: AtomicU64,
-    reconnects: AtomicU64,
-    frames_shed: AtomicU64,
-    heartbeat_misses: AtomicU64,
-    disconnects: AtomicU64,
-    codec_disconnects: AtomicU64,
-    handshake_rejects: AtomicU64,
-    frames_rx: AtomicU64,
-    frames_tx: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            enrolls: self.enrolls.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            frames_shed: self.frames_shed.load(Ordering::Relaxed),
-            heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            codec_disconnects: self.codec_disconnects.load(Ordering::Relaxed),
-            handshake_rejects: self.handshake_rejects.load(Ordering::Relaxed),
-            frames_rx: self.frames_rx.load(Ordering::Relaxed),
-            frames_tx: self.frames_tx.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[derive(Clone)]
-struct Telemetry {
-    /// Outbox depth after every send, over all peers.
-    outbox_depth: Histogram,
+struct Stats {
+    accepted: Counter,
+    enrolls: Counter,
     reconnects: Counter,
     frames_shed: Counter,
     heartbeat_misses: Counter,
+    disconnects: Counter,
+    codec_disconnects: Counter,
+    handshake_rejects: Counter,
+    frames_rx: Counter,
+    frames_tx: Counter,
+    /// Outbox depth after every send, over all peers.
+    outbox_depth: Histogram,
+}
+
+impl Stats {
+    fn snapshot(&self) -> TransportStats {
+        TransportStats {
+            accepted: self.accepted.get(),
+            enrolls: self.enrolls.get(),
+            reconnects: self.reconnects.get(),
+            frames_shed: self.frames_shed.get(),
+            heartbeat_misses: self.heartbeat_misses.get(),
+            disconnects: self.disconnects.get(),
+            codec_disconnects: self.codec_disconnects.get(),
+            handshake_rejects: self.handshake_rejects.get(),
+            frames_rx: self.frames_rx.get(),
+            frames_tx: self.frames_tx.get(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -594,16 +590,15 @@ struct Shared {
     cfg: LinkConfig,
     inbound: Mutex<Inbound>,
     activity: Condvar,
-    stats: AtomicStats,
+    stats: Stats,
     peers: Mutex<HashMap<String, Arc<PeerShared>>>,
     rtt_ns: Mutex<Vec<u64>>,
-    telemetry: Mutex<Option<Telemetry>>,
     shutdown: AtomicBool,
 }
 
 impl Shared {
     fn push_inbound(&self, env: Envelope) {
-        self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
+        self.stats.frames_rx.inc();
         lock_unpoisoned(&self.inbound).queue.push_back(env);
         self.activity.notify_all();
     }
@@ -611,20 +606,6 @@ impl Shared {
     fn push_link_event(&self, ev: LinkEvent) {
         lock_unpoisoned(&self.inbound).link_events.push(ev);
         self.activity.notify_all();
-    }
-
-    fn note_heartbeat_miss(&self) {
-        self.stats.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = lock_unpoisoned(&self.telemetry).as_ref() {
-            t.heartbeat_misses.inc();
-        }
-    }
-
-    fn note_shed(&self) {
-        self.stats.frames_shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = lock_unpoisoned(&self.telemetry).as_ref() {
-            t.frames_shed.inc();
-        }
     }
 
     fn note_rtt(&self, d: Duration) {
@@ -654,10 +635,9 @@ impl TcpTransport {
             cfg,
             inbound: Mutex::new(Inbound::default()),
             activity: Condvar::new(),
-            stats: AtomicStats::default(),
+            stats: Stats::default(),
             peers: Mutex::new(HashMap::new()),
             rtt_ns: Mutex::new(Vec::new()),
-            telemetry: Mutex::new(None),
             shutdown: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
@@ -680,15 +660,23 @@ impl TcpTransport {
     /// Registers transport metrics on `registry`:
     /// `transport_reconnects_total`, `transport_frames_shed_total`,
     /// `transport_heartbeat_misses_total`, plus one
-    /// `transport_outbox_depth` histogram over every peer's sends.
+    /// `transport_outbox_depth` histogram over every peer's sends. The
+    /// registry shares the transport's own counters, so attaching late
+    /// exports everything counted since bind.
     pub fn attach_telemetry(&self, registry: &Registry) {
-        let tele = Telemetry {
-            outbox_depth: registry.histogram("transport_outbox_depth", &[]),
-            reconnects: registry.counter("transport_reconnects_total", &[]),
-            frames_shed: registry.counter("transport_frames_shed_total", &[]),
-            heartbeat_misses: registry.counter("transport_heartbeat_misses_total", &[]),
-        };
-        *lock_unpoisoned(&self.shared.telemetry) = Some(tele);
+        let stats = &self.shared.stats;
+        registry.register_counter("transport_reconnects_total", &[], stats.reconnects.clone());
+        registry.register_counter(
+            "transport_frames_shed_total",
+            &[],
+            stats.frames_shed.clone(),
+        );
+        registry.register_counter(
+            "transport_heartbeat_misses_total",
+            &[],
+            stats.heartbeat_misses.clone(),
+        );
+        registry.register_histogram("transport_outbox_depth", &[], stats.outbox_depth.clone());
     }
 
     /// Counter snapshot.
@@ -788,7 +776,7 @@ fn attach_connection(shared: &Arc<Shared>, peer: &Arc<PeerShared>, stream: Frame
         Ok(c) => c,
         Err(_) => {
             // Can't split the socket: treat as an immediate link loss.
-            shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+            shared.stats.disconnects.inc();
             shared.push_link_event(LinkEvent::Down(peer.node));
             return;
         }
@@ -821,12 +809,9 @@ fn attach_connection(shared: &Arc<Shared>, peer: &Arc<PeerShared>, stream: Frame
 
 fn report_down(shared: &Shared, peer: &PeerShared, epoch: u64, codec: bool) {
     if peer.mark_down(epoch) {
-        shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
+        shared.stats.disconnects.inc();
         if codec {
-            shared
-                .stats
-                .codec_disconnects
-                .fetch_add(1, Ordering::Relaxed);
+            shared.stats.codec_disconnects.inc();
         }
         shared.push_link_event(LinkEvent::Down(peer.node));
     }
@@ -888,7 +873,7 @@ fn reader_loop(shared: Arc<Shared>, peer: Arc<PeerShared>, mut stream: FrameStre
                 if last_rx.elapsed() >= shared.cfg.idle_budget {
                     last_rx = Instant::now();
                     misses += 1;
-                    shared.note_heartbeat_miss();
+                    shared.stats.heartbeat_misses.inc();
                     if misses >= shared.cfg.max_heartbeat_misses {
                         stream.conn().shutdown();
                         report_down(&shared, &peer, epoch, false);
@@ -966,7 +951,7 @@ fn enqueue_raw(shared: &Shared, peer: &PeerShared, bytes: Vec<u8>) {
     }
     if ob.queue.len() >= shared.cfg.outbox_cap {
         ob.queue.pop_front();
-        shared.note_shed();
+        shared.stats.frames_shed.inc();
     }
     ob.queue.push_back(bytes);
     peer.cond.notify_all();
@@ -988,7 +973,7 @@ fn acceptor_loop(listener: Listener, shared: Arc<Shared>) {
                 continue;
             }
         };
-        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.stats.accepted.inc();
         let nonce = {
             let mut rng = lock_unpoisoned(&nonce_rng);
             let mut n = [0u8; 16];
@@ -1014,17 +999,14 @@ fn handshake(shared: Arc<Shared>, conn: Conn, nonce: [u8; 16]) {
     let first = match stream.read_frame_deadline(deadline) {
         Ok(Some(f)) => f,
         _ => {
-            shared
-                .stats
-                .handshake_rejects
-                .fetch_add(1, Ordering::Relaxed);
+            shared.stats.handshake_rejects.inc();
             stream.conn().shutdown();
             return;
         }
     };
     match first {
         Frame::Enroll { device } if !device.is_empty() => {
-            shared.stats.enrolls.fetch_add(1, Ordering::Relaxed);
+            shared.stats.enrolls.inc();
             let mut inbound = lock_unpoisoned(&shared.inbound);
             inbound.enrolls.push_back((device, stream));
             shared.activity.notify_all();
@@ -1037,19 +1019,13 @@ fn handshake(shared: Arc<Shared>, conn: Conn, nonce: [u8; 16]) {
         } => {
             let peer = lock_unpoisoned(&shared.peers).get(&device).cloned();
             let Some(peer) = peer else {
-                shared
-                    .stats
-                    .handshake_rejects
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.stats.handshake_rejects.inc();
                 stream.conn().shutdown();
                 return;
             };
             let transcript = hello_transcript(b"sage-hello", &device, &nonce, resume_from);
             if echoed != nonce || !cmac_verify(&peer.link_key, &transcript, &mac) {
-                shared
-                    .stats
-                    .handshake_rejects
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.stats.handshake_rejects.inc();
                 stream.conn().shutdown();
                 return;
             }
@@ -1061,18 +1037,12 @@ fn handshake(shared: Arc<Shared>, conn: Conn, nonce: [u8; 16]) {
                 stream.conn().shutdown();
                 return;
             }
-            shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = lock_unpoisoned(&shared.telemetry).as_ref() {
-                t.reconnects.inc();
-            }
+            shared.stats.reconnects.inc();
             attach_connection(&shared, &peer, stream);
             shared.push_link_event(LinkEvent::Resumed(peer.node));
         }
         _ => {
-            shared
-                .stats
-                .handshake_rejects
-                .fetch_add(1, Ordering::Relaxed);
+            shared.stats.handshake_rejects.inc();
             stream.conn().shutdown();
         }
     }
@@ -1081,12 +1051,12 @@ fn handshake(shared: Arc<Shared>, conn: Conn, nonce: [u8; 16]) {
 impl Transport for TcpTransport {
     fn send(&mut self, _now: u64, env: Envelope) {
         let Some(peer) = self.node_index.get(&env.dst) else {
-            self.shared.note_shed();
+            self.shared.stats.frames_shed.inc();
             return;
         };
         let mut ob = lock_unpoisoned(&peer.outbox);
         if !ob.up {
-            self.shared.note_shed();
+            self.shared.stats.frames_shed.inc();
             return;
         }
         if ob.queue.len() >= self.shared.cfg.outbox_cap {
@@ -1094,7 +1064,7 @@ impl Transport for TcpTransport {
             // still cares about (a fresher challenge supersedes a stale
             // one).
             ob.queue.pop_front();
-            self.shared.note_shed();
+            self.shared.stats.frames_shed.inc();
         }
         // Sample challenge send times for round-trip latency: kind byte
         // at offset 3, round at payload offset 8.
@@ -1109,10 +1079,8 @@ impl Transport for TcpTransport {
         let depth = ob.queue.len();
         peer.cond.notify_all();
         drop(ob);
-        self.shared.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = lock_unpoisoned(&self.shared.telemetry).as_ref() {
-            t.outbox_depth.record(depth as u64);
-        }
+        self.shared.stats.frames_tx.inc();
+        self.shared.stats.outbox_depth.record(depth as u64);
     }
 
     fn poll(&mut self, _now: u64, node: NodeId) -> Option<Envelope> {

@@ -4,8 +4,9 @@
 //! either ask the registry to mint an instrument
 //! ([`Registry::counter`] / [`Registry::histogram`] — get-or-create,
 //! so two callers naming the same series share state) or register an
-//! instrument they already own ([`Registry::register_histogram`] — how
-//! the `ReplayPool` exposes a histogram that predates the registry).
+//! instrument they already own ([`Registry::register_counter`] /
+//! [`Registry::register_histogram`] — how the service's event log and
+//! the `ReplayPool` expose instruments that predate the registry).
 //!
 //! # Exporters and schema stability
 //!
@@ -136,6 +137,13 @@ impl Registry {
         let h = Histogram::new();
         dir.push(name, labels, Instrument::Histogram(h.clone()));
         h
+    }
+
+    /// Registers an existing counter under `name{labels}` (shares state
+    /// with the caller's handle), replacing any previous instrument on
+    /// the same series, like [`Registry::register_histogram`].
+    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Counter) {
+        self.register(name, labels, Instrument::Counter(counter));
     }
 
     /// Registers an existing histogram under `name{labels}` (shares
@@ -412,6 +420,21 @@ mod tests {
             panic!("claim_ns is a histogram");
         };
         assert_eq!(snap.count(), 0);
+    }
+
+    #[test]
+    fn registered_counter_shares_state_and_replaces() {
+        let reg = Registry::new();
+        let mine = Counter::new();
+        mine.add(12);
+        reg.register_counter("rounds_total", &[], mine.clone());
+        mine.inc();
+        assert_eq!(reg.collect()[0].2, MetricValue::Counter(13));
+        // The get-or-create path hands back the registered handle.
+        assert!(reg.counter("rounds_total", &[]).same_as(&mine));
+        reg.register_counter("rounds_total", &[], Counter::new());
+        assert_eq!(reg.collect().len(), 1);
+        assert_eq!(reg.collect()[0].2, MetricValue::Counter(0));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{enclave, perfect_net, SVC};
+use common::{counter_value, enclave, perfect_net, SVC};
 use sage_repro::core::multi::FleetMember;
 use sage_repro::crypto::DhGroup;
 use sage_repro::evidence::{verify_report, FreshnessPolicy};
@@ -29,6 +29,7 @@ use sage_repro::service::{
     AttestationService, DeviceState, EventKind, FailReason, LinkProfile, Policy, QuorumConfig,
     ServiceConfig, SimNet, SnapshotError, VerifierBehavior,
 };
+use sage_repro::telemetry::Registry;
 
 fn jittery_net(seed: u64) -> SimNet {
     SimNet::new(
@@ -53,11 +54,11 @@ fn cfg() -> ServiceConfig {
     }
 }
 
-/// Builds the reference two-device fleet for a given seed. Identical
-/// inputs ⇒ identical universes, which is what lets the crash test
-/// compare an interrupted run against an uninterrupted twin.
-fn two_device_fleet(seed: u64) -> AttestationService<SimNet> {
-    let mut svc = AttestationService::new(cfg(), DhGroup::test_group(), jittery_net(seed));
+/// Builds the reference two-device fleet for a config and seed.
+/// Identical inputs ⇒ identical universes, which is what lets the crash
+/// tests compare an interrupted run against an uninterrupted twin.
+fn two_device_fleet(cfg: ServiceConfig, seed: u64) -> AttestationService<SimNet> {
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), jittery_net(seed));
     svc.join(
         FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
         enclave(SVC, 61),
@@ -96,17 +97,17 @@ fn run_to_inflight_round(svc: &mut AttestationService<SimNet>) -> u64 {
 fn crash_restart_resumes_with_identical_history() {
     for seed in [11u64, 12, 13] {
         // Scout: find a crash point with a round in flight.
-        let mut scout = two_device_fleet(seed);
+        let mut scout = two_device_fleet(cfg(), seed);
         let crash_at = run_to_inflight_round(&mut scout);
         let end_at = crash_at + 150_000;
 
         // Universe A: never crashes.
-        let mut a = two_device_fleet(seed);
+        let mut a = two_device_fleet(cfg(), seed);
         a.run_until(end_at);
 
         // Universe B: identical twin, crashed at `crash_at` and restored
         // from the snapshot plus the surviving endpoints.
-        let mut b = two_device_fleet(seed);
+        let mut b = two_device_fleet(cfg(), seed);
         b.run_until(crash_at);
         let snap = b.snapshot();
         let (net, endpoints) = b.into_endpoints(); // control plane dies here
@@ -140,10 +141,10 @@ fn snapshot_survives_a_second_crash() {
     // Crash twice in one schedule: restore must itself be
     // snapshot-clean, not a one-shot.
     let seed = 21u64;
-    let mut a = two_device_fleet(seed);
+    let mut a = two_device_fleet(cfg(), seed);
     a.run_until(200_000);
 
-    let mut b = two_device_fleet(seed);
+    let mut b = two_device_fleet(cfg(), seed);
     b.run_until(70_000);
     let snap = b.snapshot();
     let (net, eps) = b.into_endpoints();
@@ -159,7 +160,7 @@ fn snapshot_survives_a_second_crash() {
 
 #[test]
 fn restore_rejects_mismatched_endpoints_and_garbage() {
-    let mut svc = two_device_fleet(31);
+    let mut svc = two_device_fleet(cfg(), 31);
     svc.run_until(60_000);
     let snap = svc.snapshot();
     let (net, mut endpoints) = svc.into_endpoints();
@@ -218,7 +219,7 @@ fn restore_rejects_mismatched_endpoints_and_garbage() {
     );
     one.run_until(60_000);
     let one_snap = one.snapshot();
-    let mut two = two_device_fleet(32);
+    let mut two = two_device_fleet(cfg(), 32);
     two.run_until(60_000);
     let (net2, eps2) = two.into_endpoints();
     assert!(matches!(
@@ -241,19 +242,6 @@ fn evidence_cfg() -> ServiceConfig {
     }
 }
 
-fn evidence_fleet(seed: u64) -> AttestationService<SimNet> {
-    let mut svc = AttestationService::new(evidence_cfg(), DhGroup::test_group(), jittery_net(seed));
-    svc.join(
-        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
-        enclave(SVC, 61),
-    );
-    svc.join(
-        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
-        enclave(SVC, 62),
-    );
-    svc
-}
-
 #[test]
 fn mid_epoch_crash_preserves_chain_heads_and_epoch_roots() {
     for seed in [51u64, 52] {
@@ -263,11 +251,11 @@ fn mid_epoch_crash_preserves_chain_heads_and_epoch_roots() {
         let end_at = 250_000;
 
         // Universe A: never crashes.
-        let mut a = evidence_fleet(seed);
+        let mut a = two_device_fleet(evidence_cfg(), seed);
         a.run_until(end_at);
 
         // Universe B: crashes mid-epoch and restores from the snapshot.
-        let mut b = evidence_fleet(seed);
+        let mut b = two_device_fleet(evidence_cfg(), seed);
         b.run_until(crash_at);
         assert_eq!(
             b.sealed_epochs().len(),
@@ -336,7 +324,7 @@ fn restored_service_mints_byte_identical_reports() {
     // restored service rebuilds its name index and newest-epoch tree
     // from the snapshot; every report must come out the same bytes.
     let names = ["gpu-a", "gpu-b", "gpu-c"];
-    let mut svc = evidence_fleet(53);
+    let mut svc = two_device_fleet(evidence_cfg(), 53);
     svc.join(
         FleetMember::tiny("gpu-c", DeviceConfig::sim_tiny(), 43),
         enclave(SVC, 63),
@@ -363,6 +351,59 @@ fn restored_service_mints_byte_identical_reports() {
     }
 }
 
+/// The `service_*_total` lines of `reg`'s Prometheus export.
+fn service_counter_lines(reg: &Registry) -> Vec<String> {
+    reg.to_prometheus()
+        .lines()
+        .filter(|l| {
+            let name = l.split(['{', ' ']).next().unwrap_or("");
+            name.starts_with("service_") && name.ends_with("_total")
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn wrapped_log_restore_exports_what_it_counted() {
+    // A 4-event ring wraps many times before the crash, so the
+    // retained window no longer determines any counter: the restored
+    // service must export the ledger the snapshot carried.
+    let cfg = ServiceConfig {
+        event_capacity: 4,
+        ..evidence_cfg()
+    };
+    let (seed, crash_at, end_at) = (81u64, 200_000, 400_000);
+    let mut a = two_device_fleet(cfg, seed);
+    a.run_until(end_at);
+
+    let mut b = two_device_fleet(cfg, seed);
+    b.run_until(crash_at);
+    assert!(
+        b.log().events_dropped() > 0,
+        "the ring must wrap before the crash"
+    );
+    let snap = b.snapshot();
+    let (net, eps) = b.into_endpoints();
+    let mut b = AttestationService::restore(cfg, DhGroup::test_group(), net, &snap, eps)
+        .expect("wrapped snapshot restores");
+    b.run_until(end_at);
+
+    // `service_round_latency_ticks` is left out: a restore rebuilds the
+    // histogram from the retained window only, so after a wrapped crash
+    // it has seen fewer rounds than the twin's.
+    let (reg_a, reg_b) = (Registry::new(), Registry::new());
+    a.attach_telemetry(&reg_a);
+    b.attach_telemetry(&reg_b);
+    let lines = service_counter_lines(&reg_a);
+    assert_eq!(lines.len(), 23, "every ledger series exported");
+    assert_eq!(lines, service_counter_lines(&reg_b));
+    assert_eq!(
+        counter_value(&reg_b, "service_rounds_started_total", &[]),
+        b.log().counters().rounds_started
+    );
+    assert!(b.log().counters().rounds_started > 8);
+}
+
 /// The recovery fleet replicated across an N = 4 verifier quorum with
 /// one replica turned Byzantine, so a crash has *quorum* state to lose:
 /// per-replica suspicion flags, dissent counts, rolling evidence-view
@@ -379,15 +420,7 @@ fn quorum_cfg() -> ServiceConfig {
 }
 
 fn quorum_fleet(seed: u64) -> AttestationService<SimNet> {
-    let mut svc = AttestationService::new(quorum_cfg(), DhGroup::test_group(), jittery_net(seed));
-    svc.join(
-        FleetMember::tiny("gpu-a", DeviceConfig::sim_tiny(), 41),
-        enclave(SVC, 61),
-    );
-    svc.join(
-        FleetMember::tiny("gpu-b", DeviceConfig::sim_tiny(), 42),
-        enclave(SVC, 62),
-    );
+    let mut svc = two_device_fleet(quorum_cfg(), seed);
     // Replica 2 lies from the start (in both universes, so the twin
     // histories stay comparable): every verdict is disputed, flagged,
     // and sealed — non-trivial quorum state for the crash to threaten.
@@ -414,9 +447,10 @@ fn multi_verifier_crash_restore_is_byte_identical() {
 
         // The crash point really holds live quorum state.
         let pre = b.quorum().unwrap().clone();
+        let pre_disputes = b.log().counters().quorum_disputes;
         assert!(pre.rounds >= 2, "seed {seed}: quorum must have voted");
         assert!(
-            pre.disputes >= 1,
+            pre_disputes >= 1,
             "seed {seed}: the liar must have dissented"
         );
         assert!(
@@ -473,7 +507,7 @@ fn multi_verifier_crash_restore_is_byte_identical() {
         );
         // The run was not vacuous: disputes kept accruing post-crash.
         assert!(
-            a.quorum().unwrap().disputes > pre.disputes,
+            a.log().counters().quorum_disputes > pre_disputes,
             "seed {seed}: no quorum activity after the crash point"
         );
     }

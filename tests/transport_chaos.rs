@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 mod common;
 
-use common::with_timeout;
+use common::{counter_value, with_timeout};
 use sage_repro::core::multi::FleetMember;
 use sage_repro::crypto::{test_entropy, DhGroup};
 use sage_repro::service::{
@@ -23,6 +23,7 @@ use sage_repro::service::{
     DeviceState, LinkConfig, Pump, ServiceConfig, TcpTransport,
 };
 use sage_repro::sgx::SgxPlatform;
+use sage_repro::telemetry::Registry;
 
 const HONEST: usize = 3;
 const CHEATER: usize = HONEST; // index of the compromised device
@@ -43,6 +44,8 @@ struct RunResult {
     enrollments: Vec<u64>,
     link_downs: u64,
     reconnects: u64,
+    /// `transport_reconnects_total` on a registry attached after the run.
+    reconnects_exported: u64,
 }
 
 /// Enrolls the fleet over real sockets and drives it to
@@ -158,7 +161,6 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
                 .head()
         })
         .collect();
-    let stats = svc.transport().stats();
     let mut resumes = Vec::new();
     let mut enrollments = Vec::new();
     for link in links {
@@ -166,6 +168,10 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
         resumes.push(r.resumes);
         enrollments.push(r.enrollments);
     }
+    // Attached only now, with every device stopped: the registry must
+    // export what the transport counted before it existed.
+    let reg = Registry::new();
+    svc.transport().attach_telemetry(&reg);
     let result = RunResult {
         heads,
         states: (0..DEVICES).map(|i| by_index(i).state).collect(),
@@ -173,7 +179,8 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
         resumes,
         enrollments,
         link_downs: svc.log().counters().link_downs,
-        reconnects: stats.reconnects,
+        reconnects: svc.transport().stats().reconnects,
+        reconnects_exported: counter_value(&reg, "transport_reconnects_total", &[]),
     };
     drop(svc);
     drop(proxy);
@@ -214,6 +221,10 @@ fn severed_fleet_resumes_with_byte_identical_evidence() {
             chaos.reconnects >= 2 * DEVICES as u64,
             "expected ≥2 resumes per device at the transport, got {}",
             chaos.reconnects
+        );
+        assert_eq!(
+            chaos.reconnects_exported, chaos.reconnects,
+            "late-attached registry must export the transport's own count"
         );
         for (i, &r) in chaos.resumes.iter().enumerate() {
             assert!(r >= 2, "device {i} resumed only {r} times");
